@@ -157,8 +157,11 @@ impl FlightRecorder {
     /// recovered, because the recorder must keep working *especially*
     /// after a crash.
     pub fn record(&self, event: TraceEvent) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        // Stamp under the ring lock: a number taken before it lets two
+        // threads enqueue 8 before 7, and eviction then pops an event that
+        // is not the oldest.
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         if ring.len() == self.cap {
             ring.pop_front();
         }

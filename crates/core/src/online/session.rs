@@ -903,10 +903,16 @@ impl ReorderGate {
         }
     }
 
-    /// Would this arrival be rejected as late? Pure — safe to call before
+    /// Would this arrival be rejected? Pure — safe to call before
     /// journaling. Late means behind the watermark, or a duplicate of a
-    /// held index.
+    /// held index; index `u64::MAX` is refused outright because releasing
+    /// it would advance the watermark past the end of the index space.
     fn check(&self, seg: &Segment) -> Result<(), SkyError> {
+        if seg.index == u64::MAX {
+            return Err(SkyError::InvalidInput {
+                what: "segment index u64::MAX cannot pass a reorder gate",
+            });
+        }
         let late = self.anchored
             && (seg.index < self.expected || self.held.iter().any(|h| h.index == seg.index));
         if late {
@@ -1508,7 +1514,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     /// cache serves entries across all their streams. When `shared` is
     /// `None` a standalone session falls back to its private cache (if
     /// [`IngestOptions::dedup`] is set).
-    pub fn push_with_cache(
+    pub(crate) fn push_with_cache(
         &mut self,
         seg: &Segment,
         shared: Option<&DedupCache>,
@@ -1823,30 +1829,6 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         })
     }
 
-    /// Ingest a run of segments — exactly a [`push`](Self::push) loop, one
-    /// report per segment, with the output buffer reserved once up front.
-    /// The session pipeline is inherently sequential (every push reads the
-    /// previous segment's state), so unlike the runtime's batched mailbox
-    /// path there is nothing to fuse here; the method exists so batch
-    /// drivers get the same call shape at both tiers. On a mid-batch error
-    /// the session keeps the state of every segment already ingested and
-    /// the error is wrapped in [`SkyError::BatchFailed`] with that count.
-    pub fn push_batch(&mut self, segs: &[Segment]) -> Result<Vec<StepReport>, SkyError> {
-        let mut reports = Vec::with_capacity(segs.len());
-        for seg in segs {
-            match self.push(seg) {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    return Err(SkyError::BatchFailed {
-                        accepted: reports.len(),
-                        source: Box::new(e),
-                    })
-                }
-            }
-        }
-        Ok(reports)
-    }
-
     /// Ingest one *arrival* — a segment as the network delivered it, not
     /// necessarily in index order. With [`IngestOptions::reorder_window`]
     /// set, the arrival passes through the reorder gate: in-order arrivals
@@ -1865,12 +1847,11 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     ///
     /// A mid-release processing error is wrapped in
     /// [`SkyError::BatchFailed`] with the count of segments already
-    /// processed, like [`push_batch`](Self::push_batch).
+    /// processed; the session keeps the state of every one of them.
     pub fn push_arrival(&mut self, seg: &Segment) -> Result<Vec<StepReport>, SkyError> {
-        if self.state.gate.is_none() {
+        if !self.gate_check(seg)? {
             return Ok(vec![self.push(seg)?]);
         }
-        self.gate_check(seg)?;
         let released = self.gate_admit(*seg);
         self.push_released(released)
     }
@@ -1915,26 +1896,21 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         self.state.gate.as_ref().map_or(0, |g| g.held.len())
     }
 
-    /// Whether a reorder gate is configured. The runtime's ingest front
-    /// door checks this once per push so the gate-less hot path stays
-    /// allocation-free.
-    pub(crate) fn gate_active(&self) -> bool {
-        self.state.gate.is_some()
-    }
-
-    /// Pure lateness check against the gate watermark — safe to call before
-    /// journaling; `Ok` when no gate is configured.
-    pub(crate) fn gate_check(&self, seg: &Segment) -> Result<(), SkyError> {
+    /// Pure pre-journal check of one arrival against the reorder gate.
+    /// `Ok(false)`: no gate is configured and the segment goes straight
+    /// downstream (the gate-less hot path stays allocation-free).
+    /// `Ok(true)`: the gate takes it — the caller journals this arrival on
+    /// its own and then routes it through [`gate_admit`](Self::gate_admit).
+    pub(crate) fn gate_check(&self, seg: &Segment) -> Result<bool, SkyError> {
         match &self.state.gate {
-            Some(g) => g.check(seg),
-            None => Ok(()),
+            Some(g) => g.check(seg).map(|()| true),
+            None => Ok(false),
         }
     }
 
-    /// Admit an arrival into the gate, returning the segments released for
-    /// processing in index order. Must only be called when
-    /// [`gate_active`](Self::gate_active); the caller owns delivering the
-    /// released segments downstream.
+    /// Admit an arrival that passed [`gate_check`](Self::gate_check),
+    /// returning the segments released for processing in index order; the
+    /// caller owns delivering them downstream.
     pub(crate) fn gate_admit(&mut self, seg: Segment) -> Vec<Segment> {
         match &mut self.state.gate {
             Some(g) => g.admit(seg),

@@ -75,39 +75,19 @@ impl Mailbox {
         matches!(self.q.front(), Some(Envelope::Close))
     }
 
-    /// Enqueue a segment; `false` when the mailbox is at capacity.
-    pub(crate) fn try_push(&mut self, seg: &Segment) -> bool {
-        if self.segments >= self.capacity {
-            return false;
-        }
-        self.q.push_back(Envelope::Segment(*seg));
-        self.segments += 1;
-        true
+    /// Segments the mailbox can take before it holds a full epoch.
+    pub(crate) fn room(&self) -> usize {
+        self.capacity.saturating_sub(self.segments)
     }
 
-    /// Enqueue a run of segments at once. The caller has already checked
-    /// room (exactly like [`try_push`](Self::try_push)'s capacity test);
-    /// one reserve covers the whole run, so a batched producer touches the
-    /// queue's allocator once per epoch instead of once per segment.
-    pub(crate) fn push_segments(&mut self, segs: &[Segment]) {
-        debug_assert!(
-            self.segments + segs.len() <= self.capacity,
-            "room pre-checked by the caller"
-        );
-        self.q.reserve(segs.len());
+    /// Enqueue a run of segments. Capacity is the caller's check, made
+    /// before the run was journaled ([`room`](Self::room)): what arrives
+    /// here is accepted input and is never dropped, so a reorder-gate
+    /// release may overshoot the epoch quota — bounded by the gate window,
+    /// and the dispatch loop tolerates `used > quota`.
+    pub(crate) fn extend(&mut self, segs: &[Segment]) {
         self.q.extend(segs.iter().map(|s| Envelope::Segment(*s)));
         self.segments += segs.len();
-    }
-
-    /// Enqueue a segment unconditionally, even past capacity. Reserved for
-    /// reorder-gate releases: one gate-filling arrival can release up to
-    /// `window + 1` already-accepted (journaled) segments at once, and
-    /// those must never be dropped even when they overshoot the epoch
-    /// quota. The overshoot is bounded by the gate window and the dispatch
-    /// loop already tolerates `used > quota`.
-    pub(crate) fn force_push(&mut self, seg: &Segment) {
-        self.q.push_back(Envelope::Segment(*seg));
-        self.segments += 1;
     }
 
     /// Enqueue the in-band close marker (always accepted).
@@ -174,16 +154,21 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_segments_but_not_close() {
+    fn room_counts_segments_but_not_close() {
         let s = seg();
         let mut m = Mailbox::new(2);
-        assert!(m.try_push(&s));
-        assert!(m.try_push(&s));
-        assert!(!m.try_push(&s), "third segment must be rejected");
-        assert_eq!(m.segments_queued(), 2);
+        assert_eq!(m.room(), 2);
+        m.extend(&[s]);
+        assert_eq!(m.room(), 1);
+        m.extend(&[s]);
+        assert_eq!((m.room(), m.segments_queued()), (0, 2));
         m.push_close();
         assert!(m.close_queued());
         assert_eq!(m.segments_queued(), 2);
+        // Accepted input past the quota (a gate release) is kept, not
+        // dropped, and leaves no room.
+        m.extend(&[s, s]);
+        assert_eq!((m.room(), m.segments_queued()), (0, 4));
     }
 
     #[test]
@@ -191,7 +176,7 @@ mod tests {
         let s = seg();
         let mut m = Mailbox::new(4);
         assert!(!m.close_is_first());
-        m.try_push(&s);
+        m.extend(&[s]);
         m.push_close();
         assert!(!m.close_is_first());
         let batch = m.drain();
@@ -209,20 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn push_segments_counts_like_a_push_loop() {
-        let s = seg();
-        let mut m = Mailbox::new(4);
-        m.push_segments(&[s, s, s]);
-        assert_eq!(m.segments_queued(), 3);
-        assert!(m.try_push(&s));
-        assert!(!m.try_push(&s), "batched segments count against capacity");
-    }
-
-    #[test]
     fn drain_into_swaps_buffers_without_losing_envelopes() {
         let s = seg();
         let mut m = Mailbox::new(4);
-        m.push_segments(&[s, s]);
+        m.extend(&[s, s]);
         m.push_close();
         let mut out = VecDeque::from(vec![Envelope::Close]); // stale content
         m.drain_into(&mut out);
@@ -232,7 +207,7 @@ mod tests {
         assert!(m.close_queued(), "sticky close flag survives drain_into");
         // Ping-pong: the next epoch reuses the handed-back allocation.
         let cap_before = out.capacity();
-        m.push_segments(&[s]);
+        m.extend(&[s]);
         m.drain_into(&mut out);
         assert_eq!(out.len(), 1);
         assert!(out.capacity() >= 1);

@@ -48,6 +48,7 @@ pub(crate) mod wal;
 
 pub use metrics::{RuntimeMetrics, StreamMetrics};
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,8 +61,8 @@ use vetl_video::Segment;
 use crate::dedupe::{DedupCache, DedupPolicy, DedupStats};
 use crate::error::SkyError;
 use crate::multistream::{
-    admission_check, epoch_quota, plan_epoch, JointPlanRecord, MultiOutcome, StreamId,
-    StreamOutcome, STREAM_SEED_STRIDE,
+    admission_check, epoch_quota, plan_epoch, validate_segment, JointPlanRecord, MultiOutcome,
+    StreamId, StreamOutcome, STREAM_SEED_STRIDE,
 };
 use crate::obs::{Clock, CounterId, HistId, MonotonicClock, Obs, TraceEvent};
 use crate::offline::FittedModel;
@@ -343,6 +344,15 @@ impl RtStream<'_> {
         }
     }
 
+    /// Release everything the reorder gate still holds into the mailbox
+    /// (nothing without a gate); returns how many segments that was.
+    fn drain_gate(&mut self) -> usize {
+        let released = self.session.as_mut().map(IngestSession::gate_drain);
+        let released = released.unwrap_or_default();
+        self.mailbox.extend(&released);
+        released.len()
+    }
+
     /// Settle the session into the stream's outcome (idempotent).
     fn settle(&mut self) {
         if let Some(session) = self.session.take() {
@@ -519,14 +529,20 @@ impl<'a> IngestRuntime<'a> {
         self.obs.as_ref()
     }
 
-    /// Record a poisoning in the flight recorder and dump the ring —
-    /// the post-mortem a poisoned runtime leaves behind.
-    fn obs_poison(&self, detail: &str) {
+    /// Count and trace an admission that was turned away (`counter` tells
+    /// a deferral from a rejection).
+    fn obs_admission_rejected(
+        &self,
+        counter: CounterId,
+        workload_id: &str,
+        reason: impl std::fmt::Display,
+    ) {
         if let Some(o) = &self.obs {
-            o.flight.record(TraceEvent::Poisoned {
-                detail: detail.to_string(),
+            o.registry.inc(counter);
+            o.flight.record(TraceEvent::AdmissionRejected {
+                workload_id: workload_id.to_string(),
+                reason: reason.to_string(),
             });
-            o.flight.dump("poisoned");
         }
     }
 
@@ -569,16 +585,14 @@ impl<'a> IngestRuntime<'a> {
         // dispatches and resets the counter).
         if let Some(cap) = self.admission_epoch_cap {
             if self.opens_since_dispatch >= cap {
-                if let Some(o) = &self.obs {
-                    o.registry.inc(CounterId::AdmissionsDeferred);
-                    o.flight.record(TraceEvent::AdmissionRejected {
-                        workload_id: workload_id.clone(),
-                        reason: format!(
-                            "deferred: {} admissions since the last dispatch (cap {cap})",
-                            self.opens_since_dispatch
-                        ),
-                    });
-                }
+                self.obs_admission_rejected(
+                    CounterId::AdmissionsDeferred,
+                    &workload_id,
+                    format_args!(
+                        "deferred: {} admissions since the last dispatch (cap {cap})",
+                        self.opens_since_dispatch
+                    ),
+                );
                 return Err(SkyError::AdmissionDeferred {
                     pending: self.opens_since_dispatch,
                     cap,
@@ -601,13 +615,7 @@ impl<'a> IngestRuntime<'a> {
             .map(|s| s.model())
             .collect();
         if let Err(e) = admission_check(&active_models, model, total) {
-            if let Some(o) = &self.obs {
-                o.registry.inc(CounterId::AdmissionsRejected);
-                o.flight.record(TraceEvent::AdmissionRejected {
-                    workload_id: workload_id.clone(),
-                    reason: e.to_string(),
-                });
-            }
+            self.obs_admission_rejected(CounterId::AdmissionsRejected, &workload_id, &e);
             return Err(e);
         }
         let prev_total = self.total_cores;
@@ -639,13 +647,7 @@ impl<'a> IngestRuntime<'a> {
         });
         if let Err(e) = self.barrier(Some(candidate)) {
             self.total_cores = prev_total;
-            if let Some(o) = &self.obs {
-                o.registry.inc(CounterId::AdmissionsRejected);
-                o.flight.record(TraceEvent::AdmissionRejected {
-                    workload_id: workload_id.clone(),
-                    reason: e.to_string(),
-                });
-            }
+            self.obs_admission_rejected(CounterId::AdmissionsRejected, &workload_id, &e);
             return Err(e);
         }
         self.opens_since_dispatch += 1;
@@ -672,267 +674,197 @@ impl<'a> IngestRuntime<'a> {
         Ok(StreamId::from_index(slot))
     }
 
-    /// Enqueue one segment into a stream's ingress mailbox. Dispatches an
-    /// epoch batch across the shards as soon as every active stream has a
-    /// full epoch (or a close marker) queued.
+    /// Enqueue one segment into a stream's ingress mailbox — a
+    /// [`push_batch`](Self::push_batch) of length 1 with the error
+    /// unwrapped. Dispatches an epoch batch across the shards as soon as
+    /// every active stream has a full epoch (or a close marker) queued.
     ///
     /// Returns [`SkyError::Overloaded`] when the mailbox already holds a
     /// full epoch and lagging streams prevent the dispatch — feed or close
     /// them, then retry.
     pub fn push(&mut self, stream: StreamId, seg: &Segment) -> Result<(), SkyError> {
+        self.ingest(stream, std::slice::from_ref(seg))
+            .map_err(|(_, e)| e)
+    }
+
+    /// Enqueue a run of segments into a stream's ingress mailbox —
+    /// **semantically identical** to calling [`push`](Self::push) once per
+    /// segment, in order (property-tested in `tests/runtime.rs`); the slice
+    /// length only decides how many segments share one journal frame and
+    /// one dispatch check (see [`mailbox_room`](Self::mailbox_room)).
+    ///
+    /// On any failure the error is wrapped in [`SkyError::BatchFailed`]
+    /// carrying how many leading segments were accepted (journaled +
+    /// enqueued, never to be re-fed); the wrapped source is the error the
+    /// per-segment loop's next `push` would have returned — e.g.
+    /// [`SkyError::Overloaded`] when lagging sibling streams block the
+    /// dispatch mid-batch.
+    pub fn push_batch(&mut self, stream: StreamId, segs: &[Segment]) -> Result<(), SkyError> {
+        self.ingest(stream, segs)
+            .map_err(|(accepted, e)| SkyError::BatchFailed {
+                accepted,
+                source: Box::new(e),
+            })
+    }
+
+    /// The one ingest path: `push`, `push_batch` and journal replay all
+    /// land here. The slice is consumed in [`step`](Self::step)s; the error
+    /// carries how many segments were accepted before it.
+    fn ingest(&mut self, stream: StreamId, segs: &[Segment]) -> Result<(), (usize, SkyError)> {
+        let mut accepted = 0;
+        while accepted < segs.len() {
+            self.step(stream, &segs[accepted..], &mut accepted)
+                .map_err(|e| (accepted, e))?;
+        }
+        Ok(())
+    }
+
+    /// One ingest step: validate without mutating, journal, then apply —
+    /// an event is only applied once it is durable, and a rejected step
+    /// (typed backpressure, invalid or late input) leaves neither state
+    /// nor journal behind.
+    ///
+    /// The step takes the longest prefix of `rest` the stream accepts
+    /// without an intermediate decision: exactly one arrival for a
+    /// reorder-gated stream (each may hold or release a variable run);
+    /// otherwise everything up to the mailbox's remaining epoch room and
+    /// the first invalid segment. Below the room bound this stream keeps
+    /// the epoch from dispatching, so the per-segment loop's intermediate
+    /// `try_dispatch` calls are no-ops and one call at the step boundary is
+    /// that loop. An invalid segment ends the step before it and fails the
+    /// next one, with the same error and accepted count the loop reports.
+    fn step(
+        &mut self,
+        stream: StreamId,
+        rest: &[Segment],
+        accepted: &mut usize,
+    ) -> Result<(), SkyError> {
         self.check_poisoned()?;
-        // Validate without mutating, journal, then apply: an event is only
-        // applied once it is durable, and a rejected push (typed
-        // backpressure or invalid input) leaves neither state nor journal
-        // behind. The finiteness check (shared with the sequential server)
-        // also keeps the journal replayable: a segment that could only
-        // fail *during* dispatch must be rejected before it is journaled.
-        crate::multistream::validate_segment(seg)?;
-        let mut gated = false;
-        match self.slots.get(stream.index()) {
-            None => return Err(SkyError::UnknownStream { id: stream.index() }),
-            Some(RtSlot::Closed(_)) => return Err(SkyError::StreamClosed { id: stream.index() }),
-            Some(RtSlot::Active(a)) => {
-                if a.mailbox.close_queued() {
-                    return Err(SkyError::StreamClosed { id: stream.index() });
-                }
-                if a.mailbox.segments_queued() >= a.mailbox.capacity() {
-                    if let Some(o) = &self.obs {
-                        o.registry.inc(CounterId::BackpressureRejections);
-                        o.flight.record(TraceEvent::Backpressure {
-                            slot: stream.index(),
-                            queued: a.mailbox.segments_queued(),
-                            capacity: a.mailbox.capacity(),
-                        });
-                    }
-                    return Err(SkyError::Overloaded {
-                        stream: stream.index(),
-                        queued: a.mailbox.segments_queued(),
-                        capacity: a.mailbox.capacity(),
-                    });
-                }
-                // Lateness check is pure and runs before journaling, so a
-                // rejected late arrival leaves neither state nor journal
-                // behind — exactly like the backpressure rejection above.
-                if let Some(sess) = a.session.as_ref() {
-                    gated = sess.gate_active();
-                    if gated {
-                        if let Err(e) = sess.gate_check(seg) {
-                            if let Some(o) = &self.obs {
-                                o.registry.inc(CounterId::LateSegmentRejections);
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
+        // The finiteness check (shared with the sequential server) also
+        // keeps the journal replayable: a segment that could only fail
+        // *during* dispatch must be rejected before it is journaled.
+        validate_segment(&rest[0])?;
+        let a = self.writable(stream)?;
+        let (slot, room) = (stream.index(), a.mailbox.room());
+        if room == 0 {
+            let (queued, capacity) = (a.mailbox.segments_queued(), a.mailbox.capacity());
+            if let Some(o) = &self.obs {
+                o.registry.inc(CounterId::BackpressureRejections);
+                o.flight.record(TraceEvent::Backpressure {
+                    slot,
+                    queued,
+                    capacity,
+                });
             }
+            return Err(SkyError::Overloaded {
+                stream: slot,
+                queued,
+                capacity,
+            });
         }
-        self.wal_append(&WalRecord::Seg {
-            slot: stream.index(),
-            seg: *seg,
+        let session = a.session.as_ref();
+        let session = session.expect("a stream without a queued close has a session");
+        let gated = session.gate_check(&rest[0]).inspect_err(|e| {
+            if let (Some(o), SkyError::LateSegment { .. }) = (&self.obs, e) {
+                o.registry.inc(CounterId::LateSegmentRejections);
+            }
         })?;
-        let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-            unreachable!("checked active above");
-        };
-        if gated {
-            // Route the accepted arrival through the reorder gate. A hold
-            // enqueues nothing; a gap-fill releases a burst of up to
-            // `window + 1` segments at once. Releases enqueue one at a
-            // time, dispatching whenever the mailbox reaches the epoch
-            // quota — exactly where the in-order push sequence would — so a
-            // within-window degraded run shares its epoch boundaries (and
-            // hence its outcome, bit for bit) with the in-order run. When
-            // lagging sibling streams block that dispatch, the release
-            // falls back to overshooting the quota (bounded by the window):
-            // released segments are journaled input that must never be
-            // dropped, and the dispatch loop tolerates `used > quota`.
-            let session = a.session.as_mut().expect("checked active above");
-            let released = session.gate_admit(*seg);
-            if let Some(o) = &self.obs {
-                if released.is_empty() {
-                    o.registry.inc(CounterId::ReorderHolds);
-                } else {
-                    o.registry
-                        .add(CounterId::MailboxEnqueues, released.len() as u64);
-                }
-            }
-            for r in &released {
-                let full = matches!(
-                    self.slots.get(stream.index()),
-                    Some(RtSlot::Active(a))
-                        if a.mailbox.segments_queued() >= a.mailbox.capacity()
-                );
-                if full {
-                    let before = self.epoch;
-                    self.try_dispatch()?;
-                    if self.epoch != before {
-                        self.wal_append_barrier()?;
-                    }
-                }
-                let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-                    unreachable!("checked active above");
-                };
-                a.mailbox.force_push(r);
-            }
-        } else {
-            let accepted = a.mailbox.try_push(seg);
-            debug_assert!(accepted, "capacity pre-checked above");
-            if let Some(o) = &self.obs {
-                // Counter-only on the enqueue path: one relaxed atomic add,
-                // no `Instant` — per-push timing would dominate the push
-                // itself.
-                o.registry.inc(CounterId::MailboxEnqueues);
-            }
+        let limit = if gated { 1 } else { rest.len().min(room) };
+        let valid = rest[1..limit].iter();
+        let valid = valid.take_while(|seg| validate_segment(seg).is_ok());
+        let chunk = &rest[..1 + valid.count()];
+        self.wal_append(&WalRecord::Segs {
+            slot,
+            segs: Cow::Borrowed(chunk),
+        })?;
+        // Journaled: from here on the chunk must never be re-fed, even when
+        // the dispatch or snapshot below fails.
+        *accepted += chunk.len();
+        // The gate turns the one accepted arrival into the run it releases:
+        // nothing on a hold, up to `window + 1` segments on a gap-fill. The
+        // release lives only on this stack, so no snapshot may happen
+        // before `enqueue` has queued all of it.
+        let released = gated.then(|| {
+            let session = self.stream_mut(slot).session.as_mut();
+            let session = session.expect("a stream without a queued close has a session");
+            session.gate_admit(chunk[0])
+        });
+        if let (Some(o), Some([])) = (&self.obs, released.as_deref()) {
+            o.registry.inc(CounterId::ReorderHolds);
         }
+        self.enqueue(slot, released.as_deref().unwrap_or(chunk))?;
+        self.applied()
+    }
+
+    /// Queue journaled segments into the stream's mailbox: fill to the
+    /// epoch room, dispatch at the boundary — exactly where the in-order
+    /// per-segment run does, so a within-window degraded run shares its
+    /// epoch boundaries (and hence its outcome, bit for bit) with it — and
+    /// continue into the freed mailbox. An ungated step was sized to the
+    /// room and is one fill; only a gate release can be longer. When
+    /// lagging siblings block the dispatch, the remainder overshoots the
+    /// quota, bounded by the gate window: released segments are journaled
+    /// input and must never be dropped.
+    fn enqueue(&mut self, slot: usize, mut segs: &[Segment]) -> Result<(), SkyError> {
+        if let Some(o) = &self.obs {
+            // Counter-only on the enqueue path: one relaxed atomic add, no
+            // `Instant` — per-push timing would dominate the push itself.
+            o.registry
+                .add(CounterId::MailboxEnqueues, segs.len() as u64);
+        }
+        loop {
+            let mailbox = &mut self.stream_mut(slot).mailbox;
+            let fill = match mailbox.room() {
+                0 => segs.len(),
+                room => room.min(segs.len()),
+            };
+            mailbox.extend(&segs[..fill]);
+            segs = &segs[fill..];
+            if segs.is_empty() {
+                return Ok(());
+            }
+            self.dispatch_recorded()?;
+        }
+    }
+
+    /// Dispatch the epoch if it is ready, journaling the barrier it
+    /// crossed.
+    fn dispatch_recorded(&mut self) -> Result<(), SkyError> {
         let before = self.epoch;
         self.try_dispatch()?;
         if self.epoch != before {
             self.wal_append_barrier()?;
         }
-        // The event is journaled and applied at this point: a snapshot
-        // failure must not read as a rejected event (a retry would feed the
-        // same input twice), so it poisons fail-stop instead.
-        let r = self.maybe_snapshot();
-        if let Err(e) = &r {
-            self.poisoned = Some(e.to_string());
-            self.obs_poison(&e.to_string());
-        }
-        r
+        Ok(())
     }
 
-    /// Enqueue a run of segments into a stream's ingress mailbox —
-    /// **semantically identical** to calling [`push`](Self::push) once per
-    /// segment, in order (property-tested in `tests/runtime.rs`), but on the
-    /// hot path the run is journaled as one fused
-    /// `WalRecord::SegBatch` frame per accepted chunk and enqueued
-    /// with a single mailbox reservation instead of one of each per segment.
-    ///
-    /// The batch is applied in chunks bounded by the mailbox's remaining
-    /// epoch-quota room (see [`mailbox_room`](Self::mailbox_room)); a chunk
-    /// that fills the mailbox dispatches the epoch exactly where the
-    /// per-segment loop would, then the next chunk continues into the freed
-    /// mailbox. On any failure the error is wrapped in
-    /// [`SkyError::BatchFailed`] carrying how many leading segments were
-    /// accepted (journaled + enqueued, never to be re-fed); the wrapped
-    /// source is the error the per-segment loop's next `push` would have
-    /// returned — e.g. [`SkyError::Overloaded`] when lagging sibling streams
-    /// block the dispatch mid-batch.
-    pub fn push_batch(&mut self, stream: StreamId, segs: &[Segment]) -> Result<(), SkyError> {
-        let batch_err = |accepted: usize, e: SkyError| SkyError::BatchFailed {
-            accepted,
-            source: Box::new(e),
-        };
-        // A reorder-gated stream takes the per-segment path: each arrival
-        // may hold or release a variable run of segments, so the fused
-        // room pre-check below (which assumes one enqueue per input) does
-        // not apply. Gate-less streams are unaffected.
-        if let Some(RtSlot::Active(a)) = self.slots.get(stream.index()) {
-            if a.session.as_ref().is_some_and(IngestSession::gate_active) {
-                for (i, seg) in segs.iter().enumerate() {
-                    self.push(stream, seg).map_err(|e| batch_err(i, e))?;
-                }
-                return Ok(());
-            }
+    /// Tail of every journaled-and-applied event (segments, closures):
+    /// dispatch, then snapshot if the cadence came due. A snapshot failure
+    /// must not read as a rejected event (a retry would feed the same
+    /// input twice), so it poisons fail-stop instead.
+    fn applied(&mut self) -> Result<(), SkyError> {
+        self.dispatch_recorded()?;
+        let r = self.maybe_snapshot();
+        self.poison_on_err(r)
+    }
+
+    /// The one slot-state check: the stream exists, is not closed, and has
+    /// no close marker queued.
+    fn writable(&self, stream: StreamId) -> Result<&RtStream<'a>, SkyError> {
+        let id = stream.index();
+        match self.slots.get(id) {
+            None => Err(SkyError::UnknownStream { id }),
+            Some(RtSlot::Active(a)) if !a.mailbox.close_queued() => Ok(a),
+            Some(_) => Err(SkyError::StreamClosed { id }),
         }
-        let mut accepted = 0usize;
-        while accepted < segs.len() {
-            self.check_poisoned().map_err(|e| batch_err(accepted, e))?;
-            let rest = &segs[accepted..];
-            // The per-segment push validates the segment *before* the slot
-            // checks; mirror that order on the chunk's first segment so the
-            // error class matches the loop's.
-            if let Err(e) = crate::multistream::validate_segment(&rest[0]) {
-                return Err(batch_err(accepted, e));
-            }
-            let room = match self.slots.get(stream.index()) {
-                None => {
-                    return Err(batch_err(
-                        accepted,
-                        SkyError::UnknownStream { id: stream.index() },
-                    ))
-                }
-                Some(RtSlot::Closed(_)) => {
-                    return Err(batch_err(
-                        accepted,
-                        SkyError::StreamClosed { id: stream.index() },
-                    ))
-                }
-                Some(RtSlot::Active(a)) => {
-                    if a.mailbox.close_queued() {
-                        return Err(batch_err(
-                            accepted,
-                            SkyError::StreamClosed { id: stream.index() },
-                        ));
-                    }
-                    let (queued, cap) = (a.mailbox.segments_queued(), a.mailbox.capacity());
-                    if queued >= cap {
-                        if let Some(o) = &self.obs {
-                            o.registry.inc(CounterId::BackpressureRejections);
-                            o.flight.record(TraceEvent::Backpressure {
-                                slot: stream.index(),
-                                queued,
-                                capacity: cap,
-                            });
-                        }
-                        return Err(batch_err(
-                            accepted,
-                            SkyError::Overloaded {
-                                stream: stream.index(),
-                                queued,
-                                capacity: cap,
-                            },
-                        ));
-                    }
-                    cap - queued
-                }
-            };
-            // The chunk ends at the mailbox's remaining room — below it,
-            // the per-segment loop's intermediate `try_dispatch` calls are
-            // provably no-ops (this stream is not at capacity), so fusing
-            // them into one call at the chunk boundary changes nothing — or
-            // at the first invalid segment, whichever comes first.
-            let mut chunk_len = rest.len().min(room);
-            let mut pending_invalid = None;
-            for (i, seg) in rest[1..chunk_len].iter().enumerate() {
-                if let Err(e) = crate::multistream::validate_segment(seg) {
-                    chunk_len = i + 1;
-                    pending_invalid = Some(e);
-                    break;
-                }
-            }
-            let chunk = &rest[..chunk_len];
-            if self.wal_active() {
-                self.wal_append(&WalRecord::SegBatch {
-                    slot: stream.index(),
-                    segs: chunk.to_vec(),
-                })
-                .map_err(|e| batch_err(accepted, e))?;
-            }
-            let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-                unreachable!("checked active above");
-            };
-            a.mailbox.push_segments(chunk);
-            accepted += chunk.len();
-            if let Some(o) = &self.obs {
-                o.registry
-                    .add(CounterId::MailboxEnqueues, chunk.len() as u64);
-            }
-            let before = self.epoch;
-            self.try_dispatch().map_err(|e| batch_err(accepted, e))?;
-            if self.epoch != before {
-                self.wal_append_barrier()
-                    .map_err(|e| batch_err(accepted, e))?;
-            }
-            if let Err(e) = self.maybe_snapshot() {
-                self.poisoned = Some(e.to_string());
-                self.obs_poison(&e.to_string());
-                return Err(batch_err(accepted, e));
-            }
-            if let Some(e) = pending_invalid {
-                return Err(batch_err(accepted, e));
-            }
+    }
+
+    /// The stream in `slot`, which [`writable`](Self::writable) vouched for.
+    fn stream_mut(&mut self, slot: usize) -> &mut RtStream<'a> {
+        match &mut self.slots[slot] {
+            RtSlot::Active(a) => a,
+            RtSlot::Closed(_) => unreachable!("checked writable above"),
         }
-        Ok(())
     }
 
     /// Segments a batched push can currently enqueue for `stream` before the
@@ -940,18 +872,7 @@ impl<'a> IngestRuntime<'a> {
     /// drivers size their runs with this hint to stay allocation- and
     /// backpressure-free; pushing more is still correct, just chunked.
     pub fn mailbox_room(&self, stream: StreamId) -> Result<usize, SkyError> {
-        match self.slots.get(stream.index()) {
-            None => Err(SkyError::UnknownStream { id: stream.index() }),
-            Some(RtSlot::Closed(_)) => Err(SkyError::StreamClosed { id: stream.index() }),
-            Some(RtSlot::Active(a)) => {
-                if a.mailbox.close_queued() {
-                    return Err(SkyError::StreamClosed { id: stream.index() });
-                }
-                Ok(a.mailbox
-                    .capacity()
-                    .saturating_sub(a.mailbox.segments_queued()))
-            }
-        }
+        self.writable(stream).map(|a| a.mailbox.room())
     }
 
     /// Close a stream mid-run by queuing an in-band close marker: the
@@ -960,56 +881,22 @@ impl<'a> IngestRuntime<'a> {
     /// lease across the remaining streams.
     pub fn close_stream(&mut self, stream: StreamId) -> Result<(), SkyError> {
         self.check_poisoned()?;
-        match self.slots.get(stream.index()) {
-            None => return Err(SkyError::UnknownStream { id: stream.index() }),
-            Some(RtSlot::Closed(_)) => return Err(SkyError::StreamClosed { id: stream.index() }),
-            Some(RtSlot::Active(a)) => {
-                if a.mailbox.close_queued() {
-                    return Err(SkyError::StreamClosed { id: stream.index() });
-                }
-            }
-        }
-        self.wal_append(&WalRecord::Close {
-            slot: stream.index(),
-        })?;
-        let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-            unreachable!("checked active above");
-        };
+        self.writable(stream)?;
+        let slot = stream.index();
+        self.wal_append(&WalRecord::Close { slot })?;
         // Release the reorder gate ahead of the close marker: held segments
         // are journaled (accepted) input, so the close pins the stream's
         // settlement *after* them; remaining gaps become
         // [`ReorderStats::lost`]. Runs identically live and on replay (the
         // drain happens after the Close record on both paths).
-        if let Some(sess) = a.session.as_mut() {
-            if sess.gate_active() {
-                let released = sess.gate_drain();
-                for r in &released {
-                    a.mailbox.force_push(r);
-                }
-                if let Some(o) = &self.obs {
-                    o.registry
-                        .add(CounterId::MailboxEnqueues, released.len() as u64);
-                }
-            }
-        }
+        let a = self.stream_mut(slot);
+        let released = a.drain_gate();
         a.mailbox.push_close();
         if let Some(o) = &self.obs {
-            o.registry.inc(CounterId::MailboxEnqueues);
+            o.registry
+                .add(CounterId::MailboxEnqueues, released as u64 + 1);
         }
-        let before = self.epoch;
-        self.try_dispatch()?;
-        if self.epoch != before {
-            self.wal_append_barrier()?;
-        }
-        // The event is journaled and applied at this point: a snapshot
-        // failure must not read as a rejected event (a retry would feed the
-        // same input twice), so it poisons fail-stop instead.
-        let r = self.maybe_snapshot();
-        if let Err(e) = &r {
-            self.poisoned = Some(e.to_string());
-            self.obs_poison(&e.to_string());
-        }
-        r
+        self.applied()
     }
 
     /// Point-in-time snapshot: per-stream lag, buffer fill, spend, and
@@ -1108,13 +995,7 @@ impl<'a> IngestRuntime<'a> {
         // a crash drains the same recovered gate state the same way.
         for slot in &mut self.slots {
             if let RtSlot::Active(a) = slot {
-                if let Some(sess) = a.session.as_mut() {
-                    if sess.gate_active() {
-                        for seg in sess.gate_drain() {
-                            a.mailbox.force_push(&seg);
-                        }
-                    }
-                }
+                a.drain_gate();
             }
         }
         self.flush()?;
@@ -1466,17 +1347,8 @@ impl<'a> IngestRuntime<'a> {
 
 impl<'a> IngestRuntime<'a> {
     /// Append a record to the journal (no-op without durability or while
-    /// replaying). The handle opens lazily on the first accepted event; a
-    /// directory that already holds a journal body or a snapshot is
-    /// rejected — a dirty directory must go through
-    /// [`recover`](Self::recover), not be silently appended to.
-    /// Journaling is live (durability configured and not replaying) — used
-    /// by the batched path to skip assembling a record that `wal_append`
-    /// would discard.
-    fn wal_active(&self) -> bool {
-        !self.replaying && self.dur.is_some()
-    }
-
+    /// replaying). The handle opens lazily on the first accepted event
+    /// ([`ensure_wal`](Self::ensure_wal)).
     fn wal_append(&mut self, rec: &WalRecord) -> Result<(), SkyError> {
         if self.replaying || self.dur.is_none() {
             return Ok(());
@@ -1516,9 +1388,23 @@ impl<'a> IngestRuntime<'a> {
     /// [`poisoned`](Self#structfield.poisoned) field.
     fn wal_append_committed(&mut self, rec: &WalRecord) -> Result<(), SkyError> {
         let r = self.wal_append(rec);
+        self.poison_on_err(r)
+    }
+
+    /// Poison the runtime if a step that follows a committed state change
+    /// failed, recording the poisoning in the flight recorder and dumping
+    /// the ring — the post-mortem a poisoned runtime leaves behind. Hands
+    /// the result back.
+    fn poison_on_err(&mut self, r: Result<(), SkyError>) -> Result<(), SkyError> {
         if let Err(e) = &r {
-            self.poisoned = Some(e.to_string());
-            self.obs_poison(&e.to_string());
+            let detail = e.to_string();
+            if let Some(o) = &self.obs {
+                o.flight.record(TraceEvent::Poisoned {
+                    detail: detail.clone(),
+                });
+                o.flight.dump("poisoned");
+            }
+            self.poisoned = Some(detail);
         }
         r
     }
@@ -1820,12 +1706,6 @@ impl<'a> IngestRuntime<'a> {
         // writer (events are validated before journaling), so they mark a
         // crafted or inconsistent journal.
         let structural = |e: &SkyError| {
-            // Batched replays wrap the per-segment error; classify the
-            // source, not the wrapper.
-            let e = match e {
-                SkyError::BatchFailed { source, .. } => source.as_ref(),
-                other => other,
-            };
             matches!(
                 e,
                 SkyError::UnknownStream { .. }
@@ -1908,13 +1788,10 @@ impl<'a> IngestRuntime<'a> {
                         });
                     }
                 }
-                WalRecord::Seg { slot, seg } => {
-                    replayed_segments += 1;
-                    tolerate(rt.push(StreamId::from_index(slot), &seg))?;
-                }
-                WalRecord::SegBatch { slot, segs } => {
+                WalRecord::Segs { slot, segs } => {
                     replayed_segments += segs.len();
-                    tolerate(rt.push_batch(StreamId::from_index(slot), &segs))?;
+                    let r = rt.ingest(StreamId::from_index(slot), &segs);
+                    tolerate(r.map_err(|(_, e)| e))?;
                 }
                 WalRecord::Close { slot } => {
                     tolerate(rt.close_stream(StreamId::from_index(slot)))?;

@@ -33,6 +33,7 @@
 //! is *corruption*, surfaced as typed [`SkyError::CorruptWal`], never a
 //! panic.
 
+use std::borrow::Cow;
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -87,7 +88,7 @@ fn corrupt(detail: impl Into<String>) -> SkyError {
 /// runtime's state exactly — the runtime is a deterministic function of
 /// this sequence.
 #[derive(Debug, Clone)]
-pub(crate) enum WalRecord {
+pub(crate) enum WalRecord<'a> {
     /// A successful admission: slot index, caller id, caller options (as
     /// passed in — the per-slot seed derivation is re-applied on replay).
     Open {
@@ -95,14 +96,17 @@ pub(crate) enum WalRecord {
         workload_id: String,
         options: IngestOptions,
     },
-    /// One accepted segment for a stream.
-    Seg { slot: usize, seg: Segment },
-    /// A run of segments accepted together by a batched push — one fused
-    /// frame (one length/checksum header, one syscall) instead of one per
-    /// segment. Replay feeds the run back through the batched path;
-    /// semantically the record is exactly `segs.len()` consecutive [`Seg`]
-    /// records for the same slot.
-    SegBatch { slot: usize, segs: Vec<Segment> },
+    /// A run of segments accepted together for one stream, borrowed from
+    /// the caller's slice on the write side. On disk a 1-segment run is a
+    /// `Seg` frame (kind 2) and a longer one a fused `SegBatch` frame
+    /// (kind 7: one length/checksum header, one syscall, a count in front
+    /// of the segments); which of the two a run was written as is an
+    /// encoding detail — both decode to this variant, and a `SegBatch` of
+    /// n is exactly n consecutive `Seg` frames for the same slot.
+    Segs {
+        slot: usize,
+        segs: Cow<'a, [Segment]>,
+    },
     /// An accepted in-band close marker.
     Close { slot: usize },
     /// The partial-epoch delivery an admission attempt forces *before* its
@@ -171,16 +175,14 @@ fn encode_record(seq: u64, rec: &WalRecord) -> Vec<u8> {
             e.str(workload_id);
             enc_options(&mut e, options);
         }
-        WalRecord::Seg { slot, seg } => {
-            e.u8(2);
+        WalRecord::Segs { slot, segs } => {
+            let fused = segs.len() != 1;
+            e.u8(if fused { 7 } else { 2 });
             e.usize(*slot);
-            enc_segment(&mut e, seg);
-        }
-        WalRecord::SegBatch { slot, segs } => {
-            e.u8(7);
-            e.usize(*slot);
-            e.usize(segs.len());
-            for seg in segs {
+            if fused {
+                e.usize(segs.len());
+            }
+            for seg in segs.iter() {
                 enc_segment(&mut e, seg);
             }
         }
@@ -219,7 +221,7 @@ fn encode_record(seq: u64, rec: &WalRecord) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord)> {
+fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord<'static>)> {
     let mut d = Dec::new(body);
     let seq = d.u64("record seq")?;
     let rec = match d.u8("record kind")? {
@@ -228,10 +230,20 @@ fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord)> {
             workload_id: d.str("open workload_id")?,
             options: dec_options(&mut d)?,
         },
-        2 => WalRecord::Seg {
-            slot: d.usize("seg slot")?,
-            seg: dec_segment(&mut d)?,
-        },
+        kind @ (2 | 7) => {
+            let slot = d.usize("seg slot")?;
+            // One encoded segment is 49 bytes (u64 + 5 f64 + bool) — the
+            // length guard refuses a corrupt count before allocating.
+            let n = match kind {
+                2 => 1,
+                _ => d.len(49, "seg batch len")?,
+            };
+            let segs = (0..n).map(|_| dec_segment(&mut d));
+            WalRecord::Segs {
+                slot,
+                segs: Cow::Owned(segs.collect::<DecodeResult<_>>()?),
+            }
+        }
         3 => WalRecord::Close {
             slot: d.usize("close slot")?,
         },
@@ -252,17 +264,6 @@ fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord)> {
             total_cores: dec_opt(&mut d, "config total_cores", |d| d.f64("total_cores"))?,
             dedup: dec_opt(&mut d, "config dedup", dedupe::dec_policy)?,
         },
-        7 => {
-            let slot = d.usize("seg batch slot")?;
-            // One encoded segment is 49 bytes (u64 + 5 f64 + bool) — the
-            // length guard refuses a corrupt count before allocating.
-            let n = d.len(49, "seg batch len")?;
-            let mut segs = Vec::with_capacity(n);
-            for _ in 0..n {
-                segs.push(dec_segment(&mut d)?);
-            }
-            WalRecord::SegBatch { slot, segs }
-        }
         8 => WalRecord::DedupHit {
             hits: d.u64("dedup hits")?,
             lookups: d.u64("dedup lookups")?,
@@ -400,7 +401,7 @@ impl Wal {
 #[derive(Debug)]
 pub(crate) struct JournalScan {
     /// Valid records in order.
-    pub(crate) records: Vec<(u64, WalRecord)>,
+    pub(crate) records: Vec<(u64, WalRecord<'static>)>,
     /// Bytes of torn tail that were discarded (and physically truncated).
     pub(crate) discarded_bytes: u64,
 }
@@ -781,7 +782,7 @@ mod tests {
         s
     }
 
-    fn sample_records() -> Vec<WalRecord> {
+    fn sample_records() -> Vec<WalRecord<'static>> {
         vec![
             WalRecord::Flush,
             WalRecord::Open {
@@ -790,13 +791,13 @@ mod tests {
                 options: IngestOptions::default(),
             },
             WalRecord::Barrier { epoch: 1 },
-            WalRecord::Seg {
+            WalRecord::Segs {
                 slot: 0,
-                seg: seg(0),
+                segs: vec![seg(0)].into(),
             },
-            WalRecord::Seg {
+            WalRecord::Segs {
                 slot: 0,
-                seg: seg(1),
+                segs: vec![seg(1), seg(2)].into(),
             },
             WalRecord::DedupHit {
                 hits: 3,
@@ -844,14 +845,12 @@ mod tests {
                 (WalRecord::Barrier { epoch }, WalRecord::Barrier { epoch: e2 }) => {
                     assert_eq!(epoch, e2)
                 }
-                (WalRecord::Seg { slot, seg }, WalRecord::Seg { slot: s2, seg: g2 }) => {
+                (WalRecord::Segs { slot, segs }, WalRecord::Segs { slot: s2, segs: g2 }) => {
                     assert_eq!(slot, s2);
-                    assert_eq!(seg.index, g2.index);
-                    assert_eq!(seg.bytes.to_bits(), g2.bytes.to_bits());
-                    assert_eq!(
-                        seg.content.difficulty.to_bits(),
-                        g2.content.difficulty.to_bits()
-                    );
+                    assert_eq!(segs.len(), g2.len());
+                    for (seg, g2) in segs.iter().zip(g2.iter()) {
+                        assert_eq!(seg.identity_words(), g2.identity_words());
+                    }
                 }
                 (WalRecord::Close { slot }, WalRecord::Close { slot: s2 }) => {
                     assert_eq!(slot, s2)
@@ -870,6 +869,39 @@ mod tests {
             }
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Which frame kind a run is written as is decided here and nowhere
+    /// else: one segment is a `Seg` frame (kind 2, no count), more are one
+    /// `SegBatch` frame (kind 7). Both kinds keep decoding to the same
+    /// record — including the 1-segment `SegBatch` earlier builds wrote for
+    /// every 1-segment batched push.
+    #[test]
+    fn run_length_picks_the_frame_kind_and_both_kinds_decode() {
+        let run = |n: u64| WalRecord::Segs {
+            slot: 3,
+            segs: (0..n).map(seg).collect::<Vec<_>>().into(),
+        };
+        let one = encode_record(0, &run(1));
+        let two = encode_record(0, &run(2));
+        assert_eq!((one[8], one.len()), (2, 8 + 1 + 8 + 49));
+        assert_eq!((two[8], two.len()), (7, 8 + 1 + 8 + 8 + 2 * 49));
+
+        // A 1-segment SegBatch, hand-framed: seq · kind 7 · slot · count 1.
+        let mut old = one[..8].to_vec();
+        old.push(7);
+        old.extend_from_slice(&one[9..17]);
+        old.extend_from_slice(&1u64.to_le_bytes());
+        old.extend_from_slice(&one[17..]);
+        for body in [&one, &old] {
+            match decode_record(body).expect("decode") {
+                (0, WalRecord::Segs { slot: 3, segs }) => {
+                    assert_eq!(segs.len(), 1);
+                    assert_eq!(segs[0].identity_words(), seg(0).identity_words());
+                }
+                other => panic!("unexpected record {other:?}"),
+            }
+        }
     }
 
     /// The 49-byte segment wire image is a compatibility surface: journals

@@ -538,13 +538,20 @@ fn handle_request(
                     "push to stream {stream} not owned by this connection"
                 ));
             }
-            match service.push_batch(StreamId::from_index(slot), &segs) {
-                Ok(()) => Reply::Accepted {
-                    stream,
-                    from: base_seq,
-                    to: base_seq + segs.len() as u64,
+            // `base_seq` is an unvalidated wire value: a range that does not
+            // fit a u64 is refused before the push touches state or journal.
+            match base_seq.checked_add(segs.len() as u64) {
+                None => service.rejection(&SkyError::InvalidInput {
+                    what: "PushSegments base_seq + segment count overflows u64",
+                }),
+                Some(to) => match service.push_batch(StreamId::from_index(slot), &segs) {
+                    Ok(()) => Reply::Accepted {
+                        stream,
+                        from: base_seq,
+                        to,
+                    },
+                    Err(e) => service.rejection(&e),
                 },
-                Err(e) => service.rejection(&e),
             }
         }
         Request::CloseStream { stream } => {

@@ -201,6 +201,18 @@ fn late_segment_rejection_is_typed_and_traceless() {
     let id = rt
         .open_stream("cam-0".to_string(), m, w, opts(Some(window)))
         .expect("admission");
+    // A first arrival indexed `u64::MAX` would anchor the watermark at the
+    // end of the index space and overflow it on release: refused typed and
+    // terminal before the gate anchors, so the stream serves on as if the
+    // call never happened.
+    let unanchorable = Segment {
+        index: u64::MAX,
+        ..segs[0]
+    };
+    match rt.push(id, &unanchorable) {
+        Err(e @ SkyError::InvalidInput { .. }) => assert!(!e.is_retryable()),
+        other => panic!("index u64::MAX must be InvalidInput, got {other:?}"),
+    }
     for (i, s) in segs.iter().enumerate() {
         rt.push(id, s).expect("accepted arrival");
         if i == 9 {

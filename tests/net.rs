@@ -690,6 +690,24 @@ fn fuzzed_frames_are_contained_and_state_survives() {
         for seed in 0..FUZZ_SEEDS {
             fuzz_connection(&path, seed, &streams[0].2);
         }
+        // A well-formed push to an owned stream whose `base_seq` range does
+        // not fit a u64: rejected typed and terminal before any state or
+        // journal change (the stream's outcome below still matches the
+        // reference), and the connection keeps serving.
+        let overflowing = Request::PushSegments {
+            stream: slot,
+            base_seq: u64::MAX,
+            segs: streams[0].2[SEGS / 2..SEGS / 2 + 1].to_vec(),
+        };
+        match clean.request(&overflowing).expect("typed reply") {
+            proto::Reply::Rejected {
+                retryable: false,
+                accepted: 0,
+                reason,
+                ..
+            } => assert!(reason.contains("base_seq"), "{reason}"),
+            other => panic!("expected a terminal rejection, got {other:?}"),
+        }
         clean
             .push_batch(slot, &streams[0].2[SEGS / 2..SEGS])
             .expect("push after storm");

@@ -8,15 +8,14 @@
 //! overridden with `VETL_SHARDS` (CI runs the property at two distinct
 //! counts).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
-use vetl::skyscraper::testkit::{
-    assert_multi_outcomes_bitwise_equal, assert_outcomes_bitwise_equal, ToyWorkload,
-};
-use vetl::skyscraper::{FittedModel, MultiOutcome, StepReport};
+use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
+use vetl::skyscraper::{FittedModel, MultiOutcome};
+use vetl::workloads::NetConditions;
 
 const SHARED_BUDGET_USD: f64 = 0.5;
 const REPLAN_SECS: f64 = 1_800.0;
@@ -555,63 +554,15 @@ fn runtime_rejects_unknown_closed_and_under_provisioned_streams() {
 
 // ---- Batched ingest: `push_batch` == the per-segment `push` loop. ----
 
-fn assert_step_reports_bitwise_equal(ctx: &str, a: &StepReport, b: &StepReport) {
-    assert_eq!(a.seg_index, b.seg_index, "{ctx}: seg_index");
-    assert_eq!(a.t_secs.to_bits(), b.t_secs.to_bits(), "{ctx}: t_secs");
-    assert_eq!(a.category, b.category, "{ctx}: category");
-    assert_eq!(a.config, b.config, "{ctx}: config");
-    assert_eq!(a.placement, b.placement, "{ctx}: placement");
-    assert_eq!(a.deviated, b.deviated, "{ctx}: deviated");
-    assert_eq!(a.switched, b.switched, "{ctx}: switched");
-    assert_eq!(a.replanned, b.replanned, "{ctx}: replanned");
-    assert_eq!(
-        a.buffer_bytes.to_bits(),
-        b.buffer_bytes.to_bits(),
-        "{ctx}: buffer_bytes"
-    );
-    assert_eq!(
-        a.backlog_work.to_bits(),
-        b.backlog_work.to_bits(),
-        "{ctx}: backlog_work"
-    );
-}
-
-#[test]
-fn session_push_batch_matches_push_loop_bitwise() {
-    let (w, m, segs) = &fixture()[0];
-    let n = 1_500;
-    let mk = || {
-        IngestSession::with_stream_stats(
-            m,
-            w,
-            IngestOptions::default(),
-            StreamStats::from_segments(&segs[..n]),
-        )
-    };
-
-    let mut by_loop = mk();
-    let mut loop_reports = Vec::with_capacity(n);
-    for seg in &segs[..n] {
-        loop_reports.push(by_loop.push(seg).expect("push"));
-    }
-
-    // Uneven chunks, sized so chunk boundaries never line up with replan
-    // boundaries: the batch path must reproduce every report bit for bit.
-    let mut by_batch = mk();
-    let mut batch_reports = Vec::with_capacity(n);
-    for chunk in segs[..n].chunks(313) {
-        batch_reports.extend(by_batch.push_batch(chunk).expect("push_batch"));
-    }
-
-    assert_eq!(loop_reports.len(), batch_reports.len());
-    for (i, (a, b)) in loop_reports.iter().zip(&batch_reports).enumerate() {
-        assert_step_reports_bitwise_equal(&format!("report {i}"), a, b);
-    }
-    assert_outcomes_bitwise_equal(
-        "session batch == loop",
-        &by_loop.finish(),
-        &by_batch.finish(),
-    );
+/// A fresh per-process, per-thread durability directory.
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "vetl-runtime-wal-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn batch_runtime(shards: usize, dir: Option<&PathBuf>) -> IngestRuntime<'static> {
@@ -713,6 +664,74 @@ fn runtime_push_batch_matches_push_loop_bitwise_across_barriers() {
     rt.close_stream(b).expect("close");
     let out = rt.finish().expect("finish");
     assert_multi_outcomes_bitwise_equal("push_batch == push loop", &reference, &out);
+
+    // The same property on a reorder-gated stream: a within-window degraded
+    // arrival order, fed in seeded slice lengths from 1 to 64, matches the
+    // per-segment loop over the same arrivals, and both match the in-order
+    // run — gate releases fill to the epoch room and dispatch exactly where
+    // the in-order pushes do.
+    let cond = NetConditions {
+        drop_prob: 0.0,
+        ..NetConditions::hostile(2.0, SEED)
+    };
+    let mut sched = cond.delivery_schedule(&s0[..serve]);
+    let head = sched.order.iter().position(|&p| p == 0).expect("lossless");
+    sched.order[..=head].rotate_right(1); // the stream head anchors the gate
+    assert!(!sched.is_clean(), "hostile conditions must reorder");
+    let window = sched.max_displacement();
+    let arrivals = sched.apply(&s0[..serve]);
+    let mut lens = (0u64..).map(|i| 1 + ((i * i * 2_654_435_761) >> 7) as usize % 64);
+    let sliced = gated_run(window, &arrivals, &mut lens);
+    let per_segment = gated_run(window, &arrivals, &mut std::iter::repeat(1));
+    let in_order = gated_run(window, &s0[..serve], &mut std::iter::repeat(1));
+    assert_multi_outcomes_bitwise_equal("gated slices == gated loop", &per_segment, &sliced);
+    assert_multi_outcomes_bitwise_equal("gated slices == in-order run", &in_order, &sliced);
+}
+
+/// Stream 0 behind a reorder gate, fed `arrivals` in slices of the given
+/// lengths (`push` for length 1, `push_batch` otherwise); stream 1 ungated
+/// and kept one full epoch ahead, so a gate release that fills the epoch
+/// always finds its sibling ready and never has to overshoot the quota.
+fn gated_run(
+    window: usize,
+    arrivals: &[Segment],
+    lens: &mut dyn Iterator<Item = usize>,
+) -> MultiOutcome {
+    let streams = fixture();
+    let mut rt = batch_runtime(2, None);
+    let gated = IngestOptions {
+        reorder_window: Some(window),
+        ..IngestOptions::default()
+    };
+    let a = rt
+        .open_stream("cam-0", &streams[0].1, &streams[0].0, gated)
+        .expect("admission");
+    let b = rt
+        .open_stream(
+            "cam-1",
+            &streams[1].1,
+            &streams[1].0,
+            IngestOptions::default(),
+        )
+        .expect("admission");
+    let mut ahead = streams[1].2[..arrivals.len()].chunks(QUOTA);
+    let mut rest = arrivals;
+    while !rest.is_empty() {
+        if rt.mailbox_room(b).expect("room") == QUOTA {
+            if let Some(epoch) = ahead.next() {
+                rt.push_batch(b, epoch).expect("sibling epoch");
+            }
+        }
+        let (slice, tail) = rest.split_at(lens.next().expect("endless").min(rest.len()));
+        match slice {
+            [seg] => rt.push(a, seg).expect("arrival"),
+            _ => rt.push_batch(a, slice).expect("arrivals"),
+        }
+        rest = tail;
+    }
+    rt.close_stream(a).expect("close");
+    rt.close_stream(b).expect("close");
+    rt.finish().expect("finish")
 }
 
 #[test]
@@ -762,20 +781,34 @@ fn push_batch_overload_mid_batch_is_typed_and_keeps_the_accepted_prefix() {
     assert_eq!(rt.metrics().streams[a.index()].lag_segments, QUOTA);
     assert_eq!(rt.mailbox_room(a).expect("room"), 0);
 
-    // A full mailbox rejects immediately with an empty accepted prefix.
+    // A full mailbox rejects immediately with an empty accepted prefix —
+    // through either entry, since capacity is checked in one place — and
+    // queues nothing.
     let err = rt.push_batch(a, &s0[QUOTA..QUOTA + 1]).unwrap_err();
     assert!(
         matches!(err, SkyError::BatchFailed { accepted: 0, ref source }
             if matches!(**source, SkyError::Overloaded { .. })),
         "{err}"
     );
+    assert_eq!(
+        rt.push(a, &s0[QUOTA]).unwrap_err(),
+        SkyError::Overloaded {
+            stream: a.index(),
+            queued: QUOTA,
+            capacity: QUOTA,
+        }
+    );
+    assert_eq!(rt.metrics().streams[a.index()].lag_segments, QUOTA);
 
     // Resume from the accepted prefix — never re-feed it — and the run is
-    // bitwise identical to the clean per-segment loop.
+    // bitwise identical to the clean per-segment loop. Capacity bounds
+    // segments only: the close marker is accepted into a full mailbox.
     rt.push_batch(b, &s1[..QUOTA]).expect("sibling catches up");
     rt.push_batch(a, &s0[QUOTA..serve]).expect("next epoch");
+    assert_eq!(rt.metrics().streams[a.index()].lag_segments, QUOTA);
+    rt.close_stream(a).expect("close at capacity");
+    assert_eq!(rt.metrics().streams[a.index()].lag_segments, QUOTA);
     rt.push_batch(b, &s1[QUOTA..serve]).expect("next epoch");
-    rt.close_stream(a).expect("close");
     rt.close_stream(b).expect("close");
     let out = rt.finish().expect("finish");
     assert_multi_outcomes_bitwise_equal("overloaded batch leaves no trace", &reference, &out);
@@ -885,19 +918,9 @@ fn batched_ingest_wal_is_deterministic_and_replays_bitwise() {
             .expect("straddle");
     };
 
-    let tmp = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!(
-            "vetl-batch-wal-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
-
     // The fused SegBatch framing is deterministic: two identical batched
     // runs journal byte-identical files.
-    let (dir1, dir2) = (tmp("a"), tmp("b"));
+    let (dir1, dir2) = (tmp_dir("batch-a"), tmp_dir("batch-b"));
     {
         let mut rt = batch_runtime(2, Some(&dir1));
         drive_prefix(&mut rt);
@@ -954,4 +977,112 @@ fn batched_ingest_wal_is_deterministic_and_replays_bitwise() {
     let out = rt.finish().expect("finish");
     assert_multi_outcomes_bitwise_equal("batched WAL replays bitwise", &reference, &out);
     let _ = std::fs::remove_dir_all(&dir1);
+}
+
+/// Re-frame every third 1-segment `Seg` record (kind 2) of a journal as the
+/// 1-segment `SegBatch` (kind 7 with a count of 1) that earlier builds wrote
+/// for every 1-segment batched push. Frames are `u32 len · u64 checksum ·
+/// body`, bodies `u64 seq · u8 kind · u64 slot · [u64 count] · segments`.
+/// Returns how many `Seg`, 1-segment and n-segment `SegBatch` records the
+/// rewritten journal holds.
+fn reframe_some_seg_records_as_one_segment_batches(wal: &Path) -> [usize; 3] {
+    use vetl::skyscraper::offline::codec::checksum;
+    let old = std::fs::read(wal).expect("read journal");
+    let mut new = old[..8].to_vec();
+    let mut shapes = [0usize; 3];
+    let mut pos = 8;
+    while pos < old.len() {
+        let len = u32::from_le_bytes(old[pos..pos + 4].try_into().unwrap()) as usize;
+        let mut body = old[pos + 12..pos + 12 + len].to_vec();
+        pos += 12 + len;
+        match body[8] {
+            2 if (shapes[0] + shapes[1]) % 3 == 2 => {
+                body[8] = 7;
+                body.splice(17..17, 1u64.to_le_bytes());
+                shapes[1] += 1;
+            }
+            2 => shapes[0] += 1,
+            7 => {
+                let n = u64::from_le_bytes(body[17..25].try_into().unwrap());
+                shapes[if n == 1 { 1 } else { 2 }] += 1;
+            }
+            _ => {}
+        }
+        new.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        new.extend_from_slice(&checksum(&body).to_le_bytes());
+        new.extend_from_slice(&body);
+    }
+    std::fs::write(wal, new).expect("rewrite journal");
+    shapes
+}
+
+#[test]
+fn journal_mixing_seg_and_segbatch_frames_recovers_like_the_all_seg_journal() {
+    let streams = fixture();
+    let (s0, s1) = (&streams[0].2, &streams[1].2);
+    let (crash_at, serve) = (QUOTA + 350, 2 * QUOTA);
+    // One schedule, journaled twice up to a mid-epoch crash: segment by
+    // segment (all `Seg` frames), and with stream 1 in runs of 50 (fused
+    // `SegBatch` frames) — then a third of the latter's `Seg` frames is
+    // re-framed the way earlier builds wrote 1-segment batched pushes.
+    let crashed = |dir: &PathBuf, run: usize| {
+        let mut rt = batch_runtime(2, Some(dir));
+        let open = |rt: &mut IngestRuntime<'static>, v: usize| {
+            let id = format!("cam-{v}");
+            rt.open_stream(id, &streams[v].1, &streams[v].0, IngestOptions::default())
+                .expect("admission")
+        };
+        let (a, b) = (open(&mut rt, 0), open(&mut rt, 1));
+        for at in (0..crash_at).step_by(run) {
+            for seg in &s0[at..at + run] {
+                rt.push(a, seg).expect("push");
+            }
+            rt.push_batch(b, &s1[at..at + run]).expect("push_batch");
+        }
+        // Crash: dropped without finish().
+    };
+    let (all_seg, mixed) = (tmp_dir("shapes-seg"), tmp_dir("shapes-mixed"));
+    crashed(&all_seg, 1);
+    crashed(&mixed, 50);
+    let wal_path = vetl::skyscraper::runtime::wal_path;
+    let shapes = reframe_some_seg_records_as_one_segment_batches(&wal_path(&mixed));
+    assert_eq!(shapes, [834, 416, 25], "Seg / SegBatch(1) / SegBatch(50)");
+
+    let recovered = |dir: &PathBuf| {
+        let resolve = |slot: usize, _: &str| {
+            let (w, m, _) = &fixture()[slot];
+            Some((m, w as &(dyn Workload + 'static)))
+        };
+        let cfg = RuntimeConfig {
+            shards: 2,
+            durability: Some(DurabilityConfig {
+                dir: dir.clone(),
+                checkpoint_every_epochs: 0,
+            }),
+            ..RuntimeConfig::default()
+        };
+        let (mut rt, report) = IngestRuntime::recover(cfg, &resolve).expect("recover");
+        assert_eq!(report.replay_errors, 0);
+        assert_eq!(report.replayed_segments, 2 * crash_at);
+        for (v, feed) in [s0, s1].into_iter().enumerate() {
+            assert_eq!(report.streams[v].accepted_segments, crash_at);
+            let id = StreamId::from_index(v);
+            rt.push_batch(id, &feed[crash_at..serve]).expect("resume");
+            rt.close_stream(id).expect("close");
+        }
+        let out = rt.finish().expect("finish");
+        let _ = std::fs::remove_dir_all(dir);
+        out
+    };
+    let from_all_seg = recovered(&all_seg);
+    assert_multi_outcomes_bitwise_equal(
+        "mixed frame shapes == all-Seg journal",
+        &from_all_seg,
+        &recovered(&mixed),
+    );
+    assert_multi_outcomes_bitwise_equal(
+        "recovered == uninterrupted",
+        &loop_reference(serve),
+        &from_all_seg,
+    );
 }
