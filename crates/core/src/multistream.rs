@@ -44,7 +44,6 @@ use vetl_video::Segment;
 
 use crate::dedupe::{DedupCache, DedupPolicy};
 use crate::error::SkyError;
-use crate::offline::forecast::CategoryTimeline;
 use crate::offline::FittedModel;
 use crate::online::plan::KnobPlan;
 use crate::online::session::{IngestOptions, IngestOutcome, IngestSession, StepReport};
@@ -164,27 +163,6 @@ fn joint_plan_inner(
             .collect()),
         Err(e) => Err(SkyError::PlannerLp(e)),
     }
-}
-
-/// Convenience: forecast each stream from a category history and joint-plan.
-pub fn joint_plan_from_histories(
-    models: &[&FittedModel],
-    histories: &[CategoryTimeline],
-    budget_per_seg_total: f64,
-) -> Result<Vec<KnobPlan>, SkyError> {
-    if histories.len() != models.len() {
-        return Err(SkyError::StreamCountMismatch {
-            what: "history",
-            expected: models.len(),
-            got: histories.len(),
-        });
-    }
-    let rs: Vec<Vec<f64>> = models
-        .iter()
-        .zip(histories)
-        .map(|(m, h)| m.forecaster.forecast(h))
-        .collect();
-    joint_plan(models, &rs, budget_per_seg_total)
 }
 
 /// Handle of an admitted stream (index into the server's session table).

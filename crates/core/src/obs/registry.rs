@@ -65,9 +65,10 @@ metric_ids! {
         BatchDispatches => "batch_dispatches",
         /// Epoch barriers crossed (settle + joint replan + broadcast).
         EpochBarriers => "epoch_barriers",
-        /// Joint LP solves that started from an empty basis.
+        /// Joint LP solves that ran the full simplex (no basis carried, or the
+        /// carried one failed to re-certify — every admission and close).
         LpSolvesCold => "lp_solves_cold",
-        /// Joint LP solves warm-started from the carried basis.
+        /// Joint LP solves the carried basis re-certified, skipping the simplex.
         LpSolvesWarm => "lp_solves_warm",
         /// Records appended to the write-ahead journal.
         WalAppends => "wal_appends",
@@ -139,9 +140,9 @@ metric_ids! {
         BatchDispatch => "batch_dispatch",
         /// Barrier phase: close-settling + forecast gather.
         BarrierSettle => "barrier_settle",
-        /// Barrier phase: joint LP solve from an empty basis.
+        /// Barrier phase: joint LP solve that ran the full simplex.
         BarrierLpSolveCold => "barrier_lp_solve_cold",
-        /// Barrier phase: joint LP solve warm-started from the carried basis.
+        /// Barrier phase: joint LP solve the carried basis re-certified.
         BarrierLpSolveWarm => "barrier_lp_solve_warm",
         /// Barrier phase: plan install + core/wallet re-split.
         BarrierWalletResplit => "barrier_wallet_resplit",

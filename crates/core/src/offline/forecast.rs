@@ -31,9 +31,6 @@ pub struct CategoryTimeline {
     pub seg_len: f64,
     /// Number of distinct categories.
     pub n_categories: usize,
-    /// Prefix counts `prefix[t][c]` = occurrences of `c` in segments `[0,t)`;
-    /// makes any window histogram O(|C|).
-    prefix: Vec<Vec<u32>>,
 }
 
 impl CategoryTimeline {
@@ -55,23 +52,15 @@ impl CategoryTimeline {
                 what: "timeline needs at least one category",
             });
         }
-        let mut prefix = Vec::with_capacity(categories.len() + 1);
-        prefix.push(vec![0u32; n_categories]);
-        for (i, &c) in categories.iter().enumerate() {
-            if c >= n_categories {
-                return Err(SkyError::InvalidInput {
-                    what: "timeline category label out of range",
-                });
-            }
-            let mut row = prefix[i].clone();
-            row[c] += 1;
-            prefix.push(row);
+        if categories.iter().any(|&c| c >= n_categories) {
+            return Err(SkyError::InvalidInput {
+                what: "timeline category label out of range",
+            });
         }
         Ok(Self {
             categories,
             seg_len,
             n_categories,
-            prefix,
         })
     }
 
@@ -174,24 +163,63 @@ impl CategoryTimeline {
         self.categories.is_empty()
     }
 
-    /// Normalized histogram of categories over segment range `[from, to)`.
-    /// Out-of-range bounds are clamped to the timeline (an empty window
-    /// yields the all-zero histogram).
+    /// Normalized histogram of categories over segment range `[from, to)`,
+    /// counted directly. Out-of-range bounds are clamped to the timeline (an
+    /// empty window yields the all-zero histogram).
     pub fn histogram(&self, from: usize, to: usize) -> Vec<f64> {
         let to = to.min(self.len());
         let from = from.min(to);
-        let n = (to - from).max(1) as f64;
-        (0..self.n_categories)
-            .map(|c| (self.prefix[to][c] - self.prefix[from][c]) as f64 / n)
-            .collect()
+        let mut bins = vec![0.0; self.n_categories];
+        count_normalized(&mut bins, &self.categories[from..to]);
+        bins
     }
+}
 
-    /// Ground-truth distribution over a *time* window `[from_s, to_s)`.
-    pub fn histogram_secs(&self, from_s: f64, to_s: f64) -> Vec<f64> {
-        let from = (from_s / self.seg_len).round().max(0.0) as usize;
-        let to = ((to_s / self.seg_len).round() as usize).min(self.len());
-        self.histogram(from.min(to), to)
+/// Fill `bins` with the normalized label histogram of `window` (all-zero for
+/// an empty window): integer counts divided by the window length.
+///
+/// Each category counts into four interleaved lanes. Labels come in runs, and
+/// a single counter would chain every increment of a run on the previous
+/// one's store — 3× slower on real timelines.
+///
+/// # Panics
+/// On a label `>= bins.len()`. Labels are range-checked where they enter the
+/// program — [`CategoryTimeline::new`] and the session checkpoint decoder.
+fn count_normalized(bins: &mut [f64], window: &[usize]) {
+    let mut lanes = vec![[0u32; 4]; bins.len()];
+    for (i, &c) in window.iter().enumerate() {
+        lanes[c][i % 4] += 1;
     }
+    let n = window.len().max(1) as f64;
+    for (bin, lanes) in bins.iter_mut().zip(&lanes) {
+        *bin = lanes.iter().sum::<u32>() as f64 / n;
+    }
+}
+
+/// The forecaster's input features: `spec.input_splits` consecutive
+/// histograms covering the last `t_in` of `recent` (one label per segment,
+/// oldest first). Windows are counted back from the end and clamped into a
+/// history shorter than `t_in`, so a short history pads by repetition.
+///
+/// This is the only place forecaster input windows are computed: training
+/// rows ([`ForecastDataset::build`]) and served forecasts
+/// ([`Forecaster::forecast`]) both come from it. It counts the slice directly
+/// — O(`t_in` / `seg_len`) per call, no table, no copy — and panics on a
+/// label `>= n_categories` like [`count_normalized`].
+fn featurize(recent: &[usize], seg_len: f64, spec: &ForecastSpec, n_categories: usize) -> Vec<f64> {
+    let in_segs = ((spec.input_secs / seg_len).round() as usize).max(spec.input_splits);
+    let split = (in_segs / spec.input_splits).max(1);
+    let len = recent.len();
+    let mut input = vec![0.0; spec.input_splits * n_categories];
+    for s in 0..spec.input_splits {
+        let from_back = in_segs - s * split;
+        let to_back = from_back.saturating_sub(split);
+        let from = len.saturating_sub(from_back);
+        let to = len.saturating_sub(to_back).max(from + 1).min(len);
+        let bins = &mut input[s * n_categories..(s + 1) * n_categories];
+        count_normalized(bins, &recent[from..to]);
+    }
+    input
 }
 
 /// Featurization/horizon parameters of the forecaster.
@@ -223,7 +251,6 @@ impl ForecastDataset {
         let in_segs = (spec.input_secs / seg).round() as usize;
         let out_segs = (spec.horizon_secs / seg).round() as usize;
         let stride = ((spec.sample_every_secs / seg).round() as usize).max(1);
-        let split = (in_segs / spec.input_splits).max(1);
 
         let mut ds = ForecastDataset::default();
         if timeline.len() < in_segs + out_segs || in_segs == 0 || out_segs == 0 {
@@ -231,13 +258,12 @@ impl ForecastDataset {
         }
         let mut t = in_segs;
         while t + out_segs <= timeline.len() {
-            let mut input = Vec::with_capacity(spec.input_splits * timeline.n_categories);
-            for s in 0..spec.input_splits {
-                let from = t - in_segs + s * split;
-                let to = (from + split).min(t);
-                input.extend(timeline.histogram(from, to));
-            }
-            ds.inputs.push(input);
+            ds.inputs.push(featurize(
+                &timeline.categories[..t],
+                seg,
+                spec,
+                timeline.n_categories,
+            ));
             ds.targets.push(timeline.histogram(t, t + out_segs));
             t += stride;
         }
@@ -363,22 +389,17 @@ impl Forecaster {
     }
 
     /// Forecast the next-interval category distribution from the most recent
-    /// categories (one entry per segment, oldest first). The input is padded
-    /// by repetition if shorter than `t_in`.
-    pub fn forecast(&self, recent: &CategoryTimeline) -> Vec<f64> {
-        let seg = recent.seg_len;
-        let in_segs = ((self.spec.input_secs / seg).round() as usize).max(self.spec.input_splits);
-        let split = (in_segs / self.spec.input_splits).max(1);
-        let len = recent.len();
-        let mut input = Vec::with_capacity(self.spec.input_splits * self.n_categories);
-        for s in 0..self.spec.input_splits {
-            // Window positions counted back from the end; clamp into range.
-            let from_back = in_segs - s * split;
-            let to_back = from_back.saturating_sub(split);
-            let from = len.saturating_sub(from_back);
-            let to = len.saturating_sub(to_back).max(from + 1).min(len.max(1));
-            input.extend(recent.histogram(from.min(len), to.min(len)));
-        }
+    /// categories (one label per `seg_len`-second segment, oldest first).
+    /// Only the last `t_in` is read — counted directly, O(`t_in / seg_len`),
+    /// through the routine that built the training rows — and a shorter
+    /// history pads by repetition.
+    ///
+    /// # Panics
+    /// On a label `>= n_categories()`. Labels are range-checked where they
+    /// enter the program ([`CategoryTimeline::new`], the session checkpoint
+    /// decoder), not per forecast.
+    pub fn forecast(&self, recent: &[usize], seg_len: f64) -> Vec<f64> {
+        let input = featurize(recent, seg_len, &self.spec, self.n_categories);
         normalize(self.net.forward(&input))
     }
 
@@ -437,6 +458,8 @@ fn normalize(mut v: Vec<f64>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A timeline with strong diurnal structure: category 0 at "night",
     /// 1 at "day", plus noise-free transitions.
@@ -475,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_counts_match_naive_histogram() {
+    fn histogram_counts_the_window() {
         let tl = CategoryTimeline::new(vec![0, 1, 1, 2, 0, 1], 1.0, 3).expect("valid timeline");
         let h = tl.histogram(1, 5);
         assert_eq!(h, vec![0.25, 0.5, 0.25]);
@@ -509,7 +532,7 @@ mod tests {
         let tl = diurnal_timeline(5, 60.0);
         let f = Forecaster::train(&tl, spec(60.0), 10, 0.2, 1).unwrap();
         let recent = diurnal_timeline(2, 60.0);
-        let r = f.forecast(&recent);
+        let r = f.forecast(&recent.categories, recent.seg_len);
         assert_eq!(r.len(), 2);
         assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(r.iter().all(|&v| v >= 0.0));
@@ -563,5 +586,175 @@ mod tests {
         let mae = f.evaluate(&test);
         assert!(mae.is_finite());
         assert!(mae < 0.2, "MAE {mae}");
+    }
+
+    /// The featurization this module had before direct counting, kept as the
+    /// oracle: a per-segment prefix-count table with its O(|C|) `histogram`,
+    /// the window arithmetic `Forecaster::forecast` used to serve, and the
+    /// separate copy `ForecastDataset::build` used to train.
+    struct PrefixOracle {
+        prefix: Vec<Vec<u32>>,
+    }
+
+    impl PrefixOracle {
+        fn new(categories: &[usize], n_categories: usize) -> Self {
+            let mut prefix = vec![vec![0u32; n_categories]];
+            for (i, &c) in categories.iter().enumerate() {
+                let mut row = prefix[i].clone();
+                row[c] += 1;
+                prefix.push(row);
+            }
+            Self { prefix }
+        }
+
+        fn len(&self) -> usize {
+            self.prefix.len() - 1
+        }
+
+        fn histogram(&self, from: usize, to: usize) -> Vec<f64> {
+            let to = to.min(self.len());
+            let from = from.min(to);
+            let n = (to - from).max(1) as f64;
+            (self.prefix[to].iter().zip(&self.prefix[from]))
+                .map(|(hi, lo)| (hi - lo) as f64 / n)
+                .collect()
+        }
+
+        fn serve_input(&self, seg_len: f64, spec: &ForecastSpec) -> Vec<f64> {
+            let in_segs = ((spec.input_secs / seg_len).round() as usize).max(spec.input_splits);
+            let split = (in_segs / spec.input_splits).max(1);
+            let len = self.len();
+            let mut input = Vec::new();
+            for s in 0..spec.input_splits {
+                let from_back = in_segs - s * split;
+                let to_back = from_back.saturating_sub(split);
+                let from = len.saturating_sub(from_back);
+                let to = len.saturating_sub(to_back).max(from + 1).min(len.max(1));
+                input.extend(self.histogram(from.min(len), to.min(len)));
+            }
+            input
+        }
+
+        fn train_input(&self, t: usize, seg_len: f64, spec: &ForecastSpec) -> Vec<f64> {
+            let in_segs = (spec.input_secs / seg_len).round() as usize;
+            let split = (in_segs / spec.input_splits).max(1);
+            let mut input = Vec::new();
+            for s in 0..spec.input_splits {
+                let from = t - in_segs + s * split;
+                let to = (from + split).min(t);
+                input.extend(self.histogram(from, to));
+            }
+            input
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const SEG_LEN: f64 = 2.0;
+
+    /// A random featurization: `C` in 1..=6, splits in 1..=8, and an input
+    /// span of 1..=40 segments — so spans shorter than the split count and
+    /// spans not divisible by it both occur. Returns `(C, spec, in_segs)`.
+    fn random_spec(rng: &mut StdRng) -> (usize, ForecastSpec, usize) {
+        let in_segs = rng.gen_range(1..=40usize);
+        let spec = ForecastSpec {
+            input_secs: in_segs as f64 * SEG_LEN,
+            input_splits: rng.gen_range(1..=8),
+            horizon_secs: rng.gen_range(1..=10usize) as f64 * SEG_LEN,
+            sample_every_secs: rng.gen_range(1..=7usize) as f64 * SEG_LEN,
+        };
+        (rng.gen_range(1..=6), spec, in_segs)
+    }
+
+    fn random_labels(rng: &mut StdRng, len: usize, n_c: usize) -> Vec<usize> {
+        (0..len).map(|_| rng.gen_range(0..n_c)).collect()
+    }
+
+    #[test]
+    fn featurize_matches_the_prefix_table_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for case in 0..400 {
+            let (n_c, spec, in_segs) = random_spec(&mut rng);
+            // Every length class: empty, one label, fewer than the splits,
+            // just under / at / over the input span, and far over it.
+            let lens = [
+                0,
+                1,
+                spec.input_splits - 1,
+                in_segs - 1,
+                in_segs,
+                in_segs + 1,
+                in_segs + rng.gen_range(2..200usize),
+            ];
+            let len = lens[case % lens.len()];
+            let labels = random_labels(&mut rng, len, n_c);
+            let oracle = PrefixOracle::new(&labels, n_c);
+            assert_eq!(
+                bits(&featurize(&labels, SEG_LEN, &spec, n_c)),
+                bits(&oracle.serve_input(SEG_LEN, &spec)),
+                "len {len}, C {n_c}, {spec:?}"
+            );
+
+            // The timeline's own window histogram, bounds past the end included.
+            let tl = CategoryTimeline::new(labels, SEG_LEN, n_c).expect("labels in range");
+            let (from, to) = (rng.gen_range(0..len + 3), rng.gen_range(0..len + 3));
+            assert_eq!(
+                bits(&tl.histogram(from, to)),
+                bits(&oracle.histogram(from, to)),
+                "histogram({from}, {to}) of {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn training_rows_are_the_served_features_of_their_prefix() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut rows = 0;
+        for _ in 0..200 {
+            let len = rng.gen_range(0..300usize);
+            let (n_c, spec, in_segs) = random_spec(&mut rng);
+            let labels = random_labels(&mut rng, len, n_c);
+            let tl = CategoryTimeline::new(labels, SEG_LEN, n_c).expect("labels in range");
+            let oracle = PrefixOracle::new(&tl.categories, n_c);
+            let ds = ForecastDataset::build(&tl, &spec);
+            let out_segs = (spec.horizon_secs / SEG_LEN).round() as usize;
+            let stride = (spec.sample_every_secs / SEG_LEN).round() as usize;
+            for (k, (row, target)) in ds.inputs.iter().zip(&ds.targets).enumerate() {
+                let t = in_segs + k * stride;
+                assert_eq!(
+                    bits(row),
+                    bits(&featurize(&tl.categories[..t], SEG_LEN, &spec, n_c)),
+                    "row {k} of {spec:?}"
+                );
+                // Unchanged from the old training arithmetic wherever that
+                // was well-formed (a span of at least one segment per split).
+                if in_segs >= spec.input_splits {
+                    assert_eq!(bits(row), bits(&oracle.train_input(t, SEG_LEN, &spec)));
+                }
+                assert_eq!(bits(target), bits(&oracle.histogram(t, t + out_segs)));
+                rows += 1;
+            }
+            // One sample per stride while input + horizon still fit.
+            assert_eq!(
+                ds.len(),
+                (len + stride).saturating_sub(in_segs + out_segs) / stride
+            );
+        }
+        assert!(rows > 1_000, "the sweep must produce rows, got {rows}");
+    }
+
+    #[test]
+    fn out_of_range_label_is_rejected_typed_where_it_enters() {
+        // Counting indexes bins by label, so the range check that used to
+        // fall out of building the prefix table must stay explicit.
+        for labels in [vec![3], vec![0, 1, 2, 3, 0], vec![usize::MAX]] {
+            assert!(matches!(
+                CategoryTimeline::new(labels, SEG_LEN, 3),
+                Err(SkyError::InvalidInput { .. })
+            ));
+        }
+        assert!(CategoryTimeline::new(vec![0, 1, 2], SEG_LEN, 3).is_ok());
     }
 }

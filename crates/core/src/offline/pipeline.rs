@@ -789,9 +789,12 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
             horizon_secs: self.hyper.planned_interval_secs,
             sample_every_secs: self.hyper.forecast_sample_every_secs,
         };
-        let forecaster = Forecaster::train(
-            &timeline,
+        let dataset = ForecastDataset::build(&timeline, &spec);
+        let n_train_samples = dataset.len();
+        let forecaster = Forecaster::train_on(
+            dataset,
             spec,
+            timeline.n_categories,
             self.hyper.forecast_epochs,
             self.hyper.forecast_val_fraction,
             self.hyper.seed,
@@ -800,7 +803,6 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
             what: "unlabeled recording shorter than forecaster input + horizon",
         })?;
         let train_secs = t0.elapsed().as_secs_f64();
-        let n_train_samples = ForecastDataset::build(&timeline, &spec).len();
 
         // Bootstrap tail: the most recent t_in of labels.
         let seg_len = self.workload.segment_len();
@@ -870,7 +872,9 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
             residual_p99: forecast.residual_p99,
         };
 
-        let r = model.forecaster.forecast(&model.tail);
+        let r = model
+            .forecaster
+            .forecast(&model.tail.categories, model.seg_len);
         let seed_plan = KnobPlanner::new().plan(&model, &r, 0.0)?;
 
         Ok(PlanArtifact {

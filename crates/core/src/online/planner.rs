@@ -117,19 +117,6 @@ impl KnobPlanner {
             Err(e) => Err(SkyError::PlannerLp(e)),
         }
     }
-
-    /// Convenience: plan from the model's own forecaster given a recent
-    /// category timeline.
-    pub fn plan_from_history(
-        &mut self,
-        model: &FittedModel,
-        recent: &crate::offline::forecast::CategoryTimeline,
-        budget_per_seg: f64,
-    ) -> Result<(KnobPlan, Vec<f64>), SkyError> {
-        let r = model.forecaster.forecast(recent);
-        let plan = self.plan(model, &r, budget_per_seg)?;
-        Ok((plan, r))
-    }
 }
 
 #[cfg(test)]

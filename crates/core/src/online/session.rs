@@ -1333,16 +1333,19 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
 
     /// Forecast the category distribution for the next planned interval
     /// from the recent history — what an external (joint) planner feeds the
-    /// shared LP.
+    /// shared LP. A count over the last `forecast_input_secs` of history and
+    /// one network forward; it cannot fail, the `Result` is the signature
+    /// its callers are written against.
     pub fn forecast_distribution(&self) -> Result<Vec<f64>, SkyError> {
-        let seg_len = self.model.seg_len;
-        let tail_len = self
-            .state
-            .history
-            .len()
-            .min((self.model.hyper.forecast_input_secs / seg_len).round() as usize);
-        let recent = &self.state.history[self.state.history.len() - tail_len..];
-        self.forecast_r(recent, self.state.seg_index)
+        Ok(self.forecast_r(self.recent_history(), self.state.seg_index))
+    }
+
+    /// The last `forecast_input_secs` of observed history — all the
+    /// forecaster reads.
+    fn recent_history(&self) -> &[usize] {
+        let history = &self.state.history;
+        let tail_len = (self.model.hyper.forecast_input_secs / self.model.seg_len).round() as usize;
+        &history[history.len().saturating_sub(tail_len)..]
     }
 
     // ---- Derived quantities (pure functions of model + options + state,
@@ -1400,15 +1403,11 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
 
     /// Forecast source dispatch (`r` over categories). `start_seg` indexes
     /// the ground-truth feed for the oracle window.
-    fn forecast_r(&self, history: &[usize], start_seg: usize) -> Result<Vec<f64>, SkyError> {
+    fn forecast_r(&self, history: &[usize], start_seg: usize) -> Vec<f64> {
         let model = self.model;
         let n_c = model.n_categories();
-        let seg_len = model.seg_len;
-        Ok(match self.options.forecast {
-            ForecastMode::Model => {
-                let tl = CategoryTimeline::new(history.to_vec(), seg_len, n_c)?;
-                model.forecaster.forecast(&tl)
-            }
+        match self.options.forecast {
+            ForecastMode::Model => model.forecaster.forecast(history, model.seg_len),
             ForecastMode::GroundTruth => {
                 let span = self.segs_per_interval() as usize;
                 let window: &[usize] = match &self.state.gt_feed {
@@ -1424,7 +1423,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
                     }
                 };
                 if window.is_empty() {
-                    return Ok(vec![1.0 / n_c as f64; n_c]);
+                    return vec![1.0 / n_c as f64; n_c];
                 }
                 let mut r = vec![0.0; n_c];
                 for &c in window {
@@ -1437,7 +1436,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
                 r
             }
             ForecastMode::Uniform => vec![1.0 / n_c as f64; n_c],
-        })
+        }
     }
 
     /// Run the planner (initial plan or interval replan) and install the
@@ -1451,39 +1450,21 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         let budget = self.budget_per_seg();
 
         let r = if initial {
-            let history = self.state.history.clone();
-            self.forecast_r(&history, 0)?
+            self.forecast_r(&self.state.history, 0)
+        } else if self.options.forecast == ForecastMode::Model
+            && self.state.tuned_forecaster.is_some()
+        {
+            // §3.3: fine-tune on the recently observed categories before
+            // forecasting from them. The one place a session builds a
+            // dataset, hence the one place it builds a timeline.
+            let observed = CategoryTimeline::new(self.state.history.clone(), seg_len, n_c)?;
+            let mut f = self.state.tuned_forecaster.take().expect("checked above");
+            let _ = f.fine_tune(&observed, 3, self.options.seed ^ i as u64);
+            let r = f.forecast(self.recent_history(), seg_len);
+            self.state.tuned_forecaster = Some(f);
+            r
         } else {
-            let tail_len = self
-                .state
-                .history
-                .len()
-                .min((model.hyper.forecast_input_secs / seg_len).round() as usize);
-            let recent_start = self.state.history.len() - tail_len;
-            let fine_tuned = matches!(
-                (&self.state.tuned_forecaster, self.options.forecast),
-                (Some(_), ForecastMode::Model)
-            );
-            if fine_tuned {
-                // §3.3: fine-tune on the recently observed categories before
-                // forecasting from them.
-                let observed = CategoryTimeline::new(self.state.history.clone(), seg_len, n_c)?;
-                let recent = CategoryTimeline::new(
-                    self.state.history[recent_start..].to_vec(),
-                    seg_len,
-                    n_c,
-                )?;
-                let f = self
-                    .state
-                    .tuned_forecaster
-                    .as_mut()
-                    .expect("checked by matches! above");
-                let _ = f.fine_tune(&observed, 3, self.options.seed ^ i as u64);
-                f.forecast(&recent)
-            } else {
-                let recent = self.state.history[recent_start..].to_vec();
-                self.forecast_r(&recent, i)?
-            }
+            self.forecast_r(self.recent_history(), i)
         };
 
         let plan: KnobPlan = self.state.planner.plan(model, &r, budget)?;
@@ -2109,13 +2090,53 @@ mod tests {
     }
 
     #[test]
-    fn forecast_distribution_is_a_distribution() {
-        let (w, model, _) = setup(2);
-        let session = IngestSession::new(&model, &w, IngestOptions::default());
-        let r = session.forecast_distribution().expect("forecast");
-        assert_eq!(r.len(), model.n_categories());
-        assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-        assert!(r.iter().all(|&v| v >= -1e-12));
+    fn forecast_distribution_is_the_forecast_of_the_history_tail() {
+        // Two planned intervals and a bit: the seeded offline tail has slid
+        // out of the input span, and both replan arms have run.
+        let (w, model, segments) = setup_long(2);
+        let n_c = model.n_categories();
+        let interval = (model.hyper.planned_interval_secs / model.seg_len) as usize;
+        let pushes = 2 * interval + 100;
+        let feed: Vec<usize> = segments
+            .iter()
+            .map(|s| model.ground_truth_category(&w, &s.content))
+            .collect();
+        for forecast in [
+            ForecastMode::Model,
+            ForecastMode::GroundTruth,
+            ForecastMode::Uniform,
+        ] {
+            let opts = IngestOptions {
+                forecast,
+                ..Default::default()
+            };
+            let mut session = IngestSession::new(&model, &w, opts);
+            session.pin_ground_truth(feed.clone());
+            for seg in &segments[..pushes] {
+                session.push(seg).unwrap();
+            }
+            let history = session.history();
+            let in_segs = (model.hyper.forecast_input_secs / model.seg_len).round() as usize;
+            let expected = match forecast {
+                ForecastMode::Model => model
+                    .forecaster
+                    .forecast(&history[history.len() - in_segs..], model.seg_len),
+                ForecastMode::GroundTruth => {
+                    let window = &feed[pushes..(pushes + interval).min(feed.len())];
+                    (0..n_c)
+                        .map(|c| {
+                            window.iter().filter(|&&g| g == c).count() as f64 / window.len() as f64
+                        })
+                        .collect()
+                }
+                ForecastMode::Uniform => vec![1.0 / n_c as f64; n_c],
+            };
+            let r = session.forecast_distribution().expect("forecast");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&r), bits(&expected), "{forecast:?}");
+            assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+            assert!(r.iter().all(|&v| v >= 0.0));
+        }
     }
 
     // ---- Legacy batch-driver guarantees, now running through the session
@@ -2307,6 +2328,7 @@ mod tests {
             session.push(seg).unwrap();
         }
         let ckpt = session.checkpoint();
+        let forecast = session.forecast_distribution().expect("forecast");
         drop(session);
 
         let bytes = ckpt.encode();
@@ -2316,6 +2338,14 @@ mod tests {
 
         let mut mem = IngestSession::resume(&model, &w, ckpt);
         let mut disk = IngestSession::resume(&model, &w, decoded);
+        // The forecast is a function of the carried history alone.
+        for resumed in [&mem, &disk] {
+            let r = resumed.forecast_distribution().expect("forecast");
+            assert!(r
+                .iter()
+                .zip(&forecast)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
         for seg in &segments[mid..] {
             let a = mem.push(seg).unwrap();
             let b = disk.push(seg).unwrap();

@@ -1254,9 +1254,7 @@ impl<'a> IngestRuntime<'a> {
         if let (Some(o), Some(t)) = (obs.as_deref(), t_settle) {
             o.registry.record(HistId::BarrierSettle, t.elapsed());
         }
-        // Cold vs warm is a property of the carried basis *before* the
-        // solve — the classification the histograms split on.
-        let cold_solve = self.joint_basis.is_empty();
+        let misses_before = self.joint_basis.misses();
         let t_lp = obs.as_deref().map(|_| Instant::now());
         let (plans, math) = plan_epoch(
             &models,
@@ -1269,7 +1267,10 @@ impl<'a> IngestRuntime<'a> {
         )?;
         if let (Some(o), Some(t)) = (obs.as_deref(), t_lp) {
             let elapsed = t.elapsed();
-            if cold_solve {
+            // Cold vs warm is what the solver did, not what it was handed:
+            // a carried basis that fails to re-certify (any admission or
+            // close reshapes the LP) still pays the full simplex.
+            if self.joint_basis.misses() != misses_before {
                 o.registry.inc(CounterId::LpSolvesCold);
                 o.registry.record(HistId::BarrierLpSolveCold, elapsed);
             } else {

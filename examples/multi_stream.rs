@@ -43,10 +43,10 @@ fn main() {
     let (model_b, _) = run_offline(&workload_b, &lab_b, &unl_b, hardware, &hyper).expect("fit B");
 
     // Joint plan preview: how does the shared LP split the budget?
-    let rs: Vec<Vec<f64>> = vec![
-        model_a.forecaster.forecast(&model_a.tail),
-        model_b.forecaster.forecast(&model_b.tail),
-    ];
+    let rs: Vec<Vec<f64>> = [&model_a, &model_b]
+        .iter()
+        .map(|m| m.forecaster.forecast(&m.tail.categories, m.seg_len))
+        .collect();
     let plans = joint_plan(&[&model_a, &model_b], &rs, 32.0).expect("joint LP");
     for (v, plan) in plans.iter().enumerate() {
         println!(
