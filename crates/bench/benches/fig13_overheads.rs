@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use skyscraper::{KnobPlan, KnobPlanner, KnobSwitcher, SwitcherLimits};
+use skyscraper::{plan_knobs, KnobPlan, KnobSwitcher, SwitcherLimits};
 use vetl_bench::{data_scale, synthetic_model, Table, SEED};
 use vetl_workloads::{paper_workloads, MACHINES};
 
@@ -76,11 +76,8 @@ fn main() {
         for n_k in [3usize, 7, 11, 15] {
             let model = synthetic_model(n_k, n_c, 2);
             let r = vec![1.0 / n_c as f64; n_c];
-            let mut planner = KnobPlanner::new();
             let t0 = Instant::now();
-            let plan = planner
-                .plan(&model, &r, 1.0 + n_k as f64)
-                .expect("LP solves");
+            let plan = plan_knobs(&model, &r, 1.0 + n_k as f64).expect("LP solves");
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(plan.n_categories(), n_c);
             row.push(format!("{ms:.1}"));
@@ -127,9 +124,8 @@ fn main() {
         let sw_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
 
         let r = vec![1.0 / model.n_categories() as f64; model.n_categories()];
-        let mut planner = KnobPlanner::new();
         let t0 = Instant::now();
-        let _ = planner.plan(model, &r, 16.0).expect("plan");
+        let _ = plan_knobs(model, &r, 16.0).expect("plan");
         let plan_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         assert!(

@@ -6,10 +6,10 @@
 
 use criterion::{BatchSize, Criterion};
 
-use skyscraper::{KnobPlan, KnobPlanner, KnobSwitcher, SwitcherLimits};
+use skyscraper::{plan_knobs, KnobPlan, KnobSwitcher, SwitcherLimits};
 use vetl_bench::benchjson::{bench_json_path, jnum, jobj, merge_into};
 use vetl_bench::synthetic_model;
-use vetl_lp::{solve, solve_warm, LpBasis, LpProblem, Relation};
+use vetl_lp::{solve, LpProblem, Relation};
 use vetl_ml::{KMeans, KMeansConfig, Mlp};
 use vetl_sim::{simulate, CloudSpec, ClusterSpec, Placement, TaskGraph, TaskNode};
 
@@ -33,48 +33,10 @@ fn bench_switcher(c: &mut Criterion) {
 }
 
 fn bench_planner(c: &mut Criterion) {
-    let mut model = synthetic_model(15, 35, 2);
-    // The synthetic generator's quality centers are exactly collinear in k,
-    // which real fitted models never are — and exact collinearity means
-    // alternate LP optima, where the warm-start certificate must (and
-    // does) refuse to skip the simplex. Deterministically de-tie so the
-    // planner LP has the unique optimum production models have.
-    let centers: Vec<Vec<f64>> = model
-        .categories
-        .centers()
-        .iter()
-        .enumerate()
-        .map(|(cat, row)| {
-            row.iter()
-                .enumerate()
-                .map(|(k, &q)| q + 1e-4 * ((k * 31 + cat * 7) % 97) as f64 / 97.0)
-                .collect()
-        })
-        .collect();
-    model.categories = skyscraper::ContentCategories::from_centers(centers);
+    let model = synthetic_model(15, 35, 2);
     let r = vec![1.0 / 35.0; 35];
     c.bench_function("knob_planner_lp_35x15", |b| {
-        b.iter(|| {
-            let mut planner = KnobPlanner::new();
-            planner.plan(&model, &r, 16.0).expect("solves")
-        })
-    });
-
-    // Warm leg: one planner reused across replans — after the priming
-    // solve, the carried basis certifies each repeat solve without a
-    // single pivot. Warm must equal cold bit for bit.
-    let cold = KnobPlanner::new().plan(&model, &r, 16.0).expect("solves");
-    let mut planner = KnobPlanner::new();
-    planner.plan(&model, &r, 16.0).expect("prime");
-    let warm = planner.plan(&model, &r, 16.0).expect("warm");
-    assert!(planner.warm_hits() >= 1, "repeat solve must hit the basis");
-    for cat in 0..warm.n_categories() {
-        for (w, co) in warm.histogram(cat).iter().zip(cold.histogram(cat)) {
-            assert_eq!(w.to_bits(), co.to_bits(), "warm plan != cold plan");
-        }
-    }
-    c.bench_function("knob_planner_lp_35x15_warm", |b| {
-        b.iter(|| planner.plan(&model, &r, 16.0).expect("solves"))
+        b.iter(|| plan_knobs(&model, &r, 16.0).expect("solves"))
     });
 }
 
@@ -126,23 +88,6 @@ fn bench_simplex(c: &mut Criterion) {
             |lp| solve(&lp).expect("solves"),
             BatchSize::SmallInput,
         )
-    });
-
-    // Warm-started leg over the same problem: the basis from the priming
-    // solve certifies every repeat solve pivot-free, and the solution must
-    // match the cold one bit for bit.
-    let lp = build();
-    let cold = solve(&lp).expect("solves");
-    let mut basis = LpBasis::new();
-    solve_warm(&lp, &mut basis).expect("prime");
-    let warm = solve_warm(&lp, &mut basis).expect("warm");
-    assert!(basis.hits() >= 1, "repeat solve must hit the basis");
-    assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-    for (w, co) in warm.values.iter().zip(&cold.values) {
-        assert_eq!(w.to_bits(), co.to_bits(), "warm solve != cold solve");
-    }
-    c.bench_function("simplex_warm_75v_16c", |b| {
-        b.iter(|| solve_warm(&lp, &mut basis).expect("solves"))
     });
 }
 

@@ -103,7 +103,7 @@ pub use offline::{
     OfflineArtifacts, OfflinePipeline, OfflineReport, PlanArtifact, ProfileArtifact,
 };
 pub use online::plan::KnobPlan;
-pub use online::planner::KnobPlanner;
+pub use online::planner::plan_knobs;
 pub use online::session::{
     ClassificationMode, ForecastMode, IngestOptions, IngestOutcome, IngestSession, ReorderStats,
     SessionCheckpoint, StepReport, StreamStats,

@@ -64,12 +64,14 @@ pub fn joint_plan(
     joint_plan_inner(models, rs, budget_per_seg_total, None)
 }
 
-/// [`joint_plan`] seeded from (and updating) the previous epoch's optimal
+/// [`joint_plan`] seeded from (and updating) the previous call's optimal
 /// basis. Bitwise identical to the cold path — warm solves only skip the
 /// simplex when the stored basis re-certifies as the unique optimum of the
 /// new LP, which is exactly when the cold solver would land on it too.
-/// Stream churn changes the LP's shape and automatically invalidates the
-/// basis.
+///
+/// No engine calls this: every plan the runtime and the sequential server
+/// install is one cold [`joint_plan`]. It stays for the benchmark's
+/// `planner.joint_lp_warm_ms_v64` probe.
 pub fn joint_plan_warm(
     models: &[&FittedModel],
     rs: &[Vec<f64>],
@@ -339,7 +341,6 @@ pub(crate) fn plan_epoch(
     shared_budget_usd: f64,
     cost_model: &CostModel,
     interval_override: Option<f64>,
-    basis: &mut LpBasis,
 ) -> Result<(Vec<KnobPlan>, BarrierMath), SkyError> {
     if models.is_empty() {
         return Err(SkyError::NoStreams);
@@ -351,7 +352,7 @@ pub(crate) fn plan_epoch(
         cost_model,
         interval_override,
     );
-    let plans = joint_plan_warm(models, rs, math.budget, basis)?;
+    let plans = joint_plan(models, rs, math.budget)?;
     Ok((plans, math))
 }
 
@@ -402,8 +403,6 @@ pub struct MultiStreamServer<'a> {
     total_cores: Option<f64>,
     joint_plans: usize,
     last_joint_plan: Option<JointPlanRecord>,
-    /// Warm-start basis carried across epoch barriers.
-    joint_basis: LpBasis,
     /// Cross-stream dedup cache, shared by every admitted session. Frozen
     /// between barriers; each barrier merges the sessions' pending entries
     /// in stable slot order (see [`crate::dedupe`]).
@@ -427,7 +426,6 @@ impl<'a> MultiStreamServer<'a> {
             total_cores: None,
             joint_plans: 0,
             last_joint_plan: None,
-            joint_basis: LpBasis::new(),
             dedup: None,
             admission_epoch_cap: None,
             opens_since_push: 0,
@@ -721,7 +719,6 @@ impl<'a> MultiStreamServer<'a> {
             self.shared_budget_usd,
             &self.cost_model,
             self.replan_interval,
-            &mut self.joint_basis,
         )?;
 
         // Commit: admission, plans, shares, leases, quotas.

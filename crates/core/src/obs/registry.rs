@@ -65,11 +65,9 @@ metric_ids! {
         BatchDispatches => "batch_dispatches",
         /// Epoch barriers crossed (settle + joint replan + broadcast).
         EpochBarriers => "epoch_barriers",
-        /// Joint LP solves that ran the full simplex (no basis carried, or the
-        /// carried one failed to re-certify — every admission and close).
+        /// Joint LP solves — every joint solve is one cold simplex, so this
+        /// equals the `joint_plans` gauge.
         LpSolvesCold => "lp_solves_cold",
-        /// Joint LP solves the carried basis re-certified, skipping the simplex.
-        LpSolvesWarm => "lp_solves_warm",
         /// Records appended to the write-ahead journal.
         WalAppends => "wal_appends",
         /// Journal fsyncs (checkpoint points).
@@ -140,10 +138,9 @@ metric_ids! {
         BatchDispatch => "batch_dispatch",
         /// Barrier phase: close-settling + forecast gather.
         BarrierSettle => "barrier_settle",
-        /// Barrier phase: joint LP solve that ran the full simplex.
+        /// Barrier phase: the joint LP solve (every joint solve, one cold
+        /// simplex each).
         BarrierLpSolveCold => "barrier_lp_solve_cold",
-        /// Barrier phase: joint LP solve the carried basis re-certified.
-        BarrierLpSolveWarm => "barrier_lp_solve_warm",
         /// Barrier phase: plan install + core/wallet re-split.
         BarrierWalletResplit => "barrier_wallet_resplit",
         /// Barrier phase: dedup publication + mailbox re-bounding.

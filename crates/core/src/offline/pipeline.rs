@@ -46,7 +46,7 @@ use crate::config::SkyscraperConfig;
 use crate::error::SkyError;
 use crate::fingerprint::{content_identity_bits, Fnv};
 use crate::online::plan::KnobPlan;
-use crate::online::planner::KnobPlanner;
+use crate::online::planner::plan_knobs;
 use crate::profile::{profile_configs_on, ConfigProfile};
 use crate::workload::Workload;
 
@@ -875,7 +875,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
         let r = model
             .forecaster
             .forecast(&model.tail.categories, model.seg_len);
-        let seed_plan = KnobPlanner::new().plan(&model, &r, 0.0)?;
+        let seed_plan = plan_knobs(&model, &r, 0.0)?;
 
         Ok(PlanArtifact {
             meta: self.meta(

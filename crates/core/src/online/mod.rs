@@ -13,7 +13,7 @@ pub mod switcher;
 
 pub use drift::DriftDetector;
 pub use plan::KnobPlan;
-pub use planner::{KnobPlanner, PlannerStats};
+pub use planner::plan_knobs;
 pub use session::{
     ClassificationMode, ForecastMode, IngestOptions, IngestOutcome, IngestSession, ReorderStats,
     SessionCheckpoint, StepReport, StreamStats,

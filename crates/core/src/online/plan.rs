@@ -3,7 +3,7 @@
 //! A plan assigns, to every content category `c`, a histogram `α_c` over
 //! knob configurations: how often each configuration should process content
 //! of that category over the planned interval. Plans are produced by the
-//! [`crate::online::planner::KnobPlanner`] LP and consumed by the
+//! [`crate::online::planner::plan_knobs`] LP and consumed by the
 //! [`crate::online::switcher::KnobSwitcher`].
 
 /// A knob plan `P = {α_c | c ∈ C}`.

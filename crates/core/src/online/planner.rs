@@ -14,108 +14,73 @@
 //! internally converts the user's cloud-credit budget into that unit
 //! (footnote 4) via [`vetl_sim::CostModel`].
 
-use vetl_lp::{solve_warm, LpBasis, LpProblem, Relation};
+use vetl_lp::{solve, LpProblem, Relation};
 
 use crate::error::SkyError;
 use crate::offline::FittedModel;
 use crate::online::plan::KnobPlan;
 
-/// Planner statistics (Fig. 13 reports its sub-second runtime).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlannerStats {
-    /// LP variables (`|C| · |K|`).
-    pub n_vars: usize,
-    /// LP constraints (`1 + |C|` plus non-negativity).
-    pub n_constraints: usize,
-    /// Simplex pivots.
-    pub pivots: usize,
-}
-
-/// The knob planner.
-#[derive(Debug, Clone, Default)]
-pub struct KnobPlanner {
-    /// Statistics of the last solve.
-    pub last_stats: PlannerStats,
-    /// Optimal basis of the previous epoch's LP; consecutive replans drift
-    /// slowly, so most solves re-certify it and skip the simplex entirely.
-    pub(crate) basis: LpBasis,
-}
-
-impl KnobPlanner {
-    /// Create a planner.
-    pub fn new() -> Self {
-        Self::default()
+/// Compute the optimal plan for forecast `r` (a distribution over
+/// categories) under `budget_per_seg` core-seconds per segment: one cold
+/// solve of Eqs. 2–4, a pure function of its inputs.
+///
+/// A forecast whose length is not the model's category count is rejected
+/// typed ([`SkyError::ForecastShape`], stream 0), as [`joint_plan`] rejects
+/// it per stream. Infeasibility cannot occur as long as the cheapest
+/// configuration fits the budget; if the LP is infeasible regardless
+/// (budget below the cheapest configuration's cost), the planner degrades
+/// to the all-cheapest plan rather than failing the pipeline — mirroring
+/// the paper's guarantee that Skyscraper keeps ingesting.
+///
+/// [`joint_plan`]: crate::multistream::joint_plan
+pub fn plan_knobs(
+    model: &FittedModel,
+    r: &[f64],
+    budget_per_seg: f64,
+) -> Result<KnobPlan, SkyError> {
+    let n_k = model.n_configs();
+    let n_c = model.n_categories();
+    if r.len() != n_c {
+        return Err(SkyError::ForecastShape {
+            stream: 0,
+            expected: n_c,
+            got: r.len(),
+        });
     }
 
-    /// Replans that re-certified the previous epoch's basis (no simplex).
-    pub fn warm_hits(&self) -> u64 {
-        self.basis.hits()
+    let mut lp = LpProblem::new();
+    // Variable layout: alpha[c][k] at index c * n_k + k.
+    let mut vars = Vec::with_capacity(n_c * n_k);
+    for (c, &rc) in r.iter().enumerate() {
+        for k in 0..n_k {
+            let obj = rc * model.categories.avg_quality(k, c);
+            vars.push(lp.add_var(format!("a_{k}_{c}"), obj));
+        }
+    }
+    // Eq. 3: budget, with category-conditional expected costs.
+    let budget_terms: Vec<_> = (0..n_c)
+        .flat_map(|c| (0..n_k).map(move |k| (c, k)))
+        .map(|(c, k)| (vars[c * n_k + k], r[c] * model.cost(k, c)))
+        .collect();
+    lp.add_constraint(budget_terms, Relation::Le, budget_per_seg);
+    // Eq. 4: normalization per category.
+    for c in 0..n_c {
+        let terms: Vec<_> = (0..n_k).map(|k| (vars[c * n_k + k], 1.0)).collect();
+        lp.add_constraint(terms, Relation::Eq, 1.0);
     }
 
-    /// Replans that ran the exact cold simplex.
-    pub fn warm_misses(&self) -> u64 {
-        self.basis.misses()
-    }
-
-    /// Compute the optimal plan for forecast `r` (a distribution over
-    /// categories) under `budget_per_seg` core-seconds per segment.
-    ///
-    /// Infeasibility cannot occur as long as the cheapest configuration fits
-    /// the budget; if the LP is infeasible regardless (budget below the
-    /// cheapest configuration's cost), the planner degrades to the
-    /// all-cheapest plan rather than failing the pipeline — mirroring the
-    /// paper's guarantee that Skyscraper keeps ingesting.
-    pub fn plan(
-        &mut self,
-        model: &FittedModel,
-        r: &[f64],
-        budget_per_seg: f64,
-    ) -> Result<KnobPlan, SkyError> {
-        let n_k = model.n_configs();
-        let n_c = model.n_categories();
-        assert_eq!(r.len(), n_c, "forecast dimension mismatch");
-
-        let mut lp = LpProblem::new();
-        // Variable layout: alpha[c][k] at index c * n_k + k.
-        let mut vars = Vec::with_capacity(n_c * n_k);
-        for (c, &rc) in r.iter().enumerate() {
-            for k in 0..n_k {
-                let obj = rc * model.categories.avg_quality(k, c);
-                vars.push(lp.add_var(format!("a_{k}_{c}"), obj));
-            }
+    match solve(&lp) {
+        Ok(sol) => {
+            let alpha: Vec<Vec<f64>> = (0..n_c)
+                .map(|c| (0..n_k).map(|k| sol.value(vars[c * n_k + k])).collect())
+                .collect();
+            Ok(KnobPlan::new(alpha))
         }
-        // Eq. 3: budget, with category-conditional expected costs.
-        let budget_terms: Vec<_> = (0..n_c)
-            .flat_map(|c| (0..n_k).map(move |k| (c, k)))
-            .map(|(c, k)| (vars[c * n_k + k], r[c] * model.cost(k, c)))
-            .collect();
-        lp.add_constraint(budget_terms, Relation::Le, budget_per_seg);
-        // Eq. 4: normalization per category.
-        for c in 0..n_c {
-            let terms: Vec<_> = (0..n_k).map(|k| (vars[c * n_k + k], 1.0)).collect();
-            lp.add_constraint(terms, Relation::Eq, 1.0);
+        Err(vetl_lp::LpError::Infeasible) => {
+            // Budget below even the cheapest plan: degrade gracefully.
+            Ok(KnobPlan::single_config(n_c, n_k, model.cheapest()))
         }
-
-        self.last_stats = PlannerStats {
-            n_vars: lp.num_vars(),
-            n_constraints: lp.num_constraints(),
-            pivots: 0,
-        };
-
-        match solve_warm(&lp, &mut self.basis) {
-            Ok(sol) => {
-                self.last_stats.pivots = sol.pivots;
-                let alpha: Vec<Vec<f64>> = (0..n_c)
-                    .map(|c| (0..n_k).map(|k| sol.value(vars[c * n_k + k])).collect())
-                    .collect();
-                Ok(KnobPlan::new(alpha))
-            }
-            Err(vetl_lp::LpError::Infeasible) => {
-                // Budget below even the cheapest plan: degrade gracefully.
-                Ok(KnobPlan::single_config(n_c, n_k, model.cheapest()))
-            }
-            Err(e) => Err(SkyError::PlannerLp(e)),
-        }
+        Err(e) => Err(SkyError::PlannerLp(e)),
     }
 }
 
@@ -149,7 +114,7 @@ mod tests {
         let m = model();
         let r = vec![1.0 / m.n_categories() as f64; m.n_categories()];
         let budget = 2.0; // core-s per 2 s segment = 1 core sustained
-        let plan = KnobPlanner::new().plan(&m, &r, budget).unwrap();
+        let plan = plan_knobs(&m, &r, budget).unwrap();
         for c in 0..m.n_categories() {
             let s: f64 = plan.histogram(c).iter().sum();
             assert!((s - 1.0).abs() < 1e-6);
@@ -165,13 +130,10 @@ mod tests {
     fn bigger_budgets_buy_more_quality() {
         let m = model();
         let r = vec![1.0 / m.n_categories() as f64; m.n_categories()];
-        let mut planner = KnobPlanner::new();
-        let q_small = planner
-            .plan(&m, &r, 0.6)
+        let q_small = plan_knobs(&m, &r, 0.6)
             .unwrap()
             .expected_quality(&r, |k, c| m.categories.avg_quality(k, c));
-        let q_large = planner
-            .plan(&m, &r, 8.0)
+        let q_large = plan_knobs(&m, &r, 8.0)
             .unwrap()
             .expected_quality(&r, |k, c| m.categories.avg_quality(k, c));
         assert!(q_large > q_small, "quality {q_large} should beat {q_small}");
@@ -181,7 +143,7 @@ mod tests {
     fn impossible_budget_degrades_to_cheapest() {
         let m = model();
         let r = vec![1.0 / m.n_categories() as f64; m.n_categories()];
-        let plan = KnobPlanner::new().plan(&m, &r, 1e-9).unwrap();
+        let plan = plan_knobs(&m, &r, 1e-9).unwrap();
         for c in 0..m.n_categories() {
             assert!((plan.frequency(c, m.cheapest()) - 1.0).abs() < 1e-9);
         }
@@ -219,9 +181,7 @@ mod tests {
             .map(|p| p.work_mean)
             .fold(f64::INFINITY, f64::min);
         let w_max = m.configs.iter().map(|p| p.work_mean).fold(0.0f64, f64::max);
-        let plan = KnobPlanner::new()
-            .plan(&m, &r, 0.5 * (w_min + w_max))
-            .unwrap();
+        let plan = plan_knobs(&m, &r, 0.5 * (w_min + w_max)).unwrap();
         let planned_work = |c: usize| -> f64 {
             (0..m.n_configs())
                 .map(|k| plan.frequency(c, k) * m.configs[k].work_mean)
@@ -236,12 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_problem_size() {
+    fn wrong_length_forecast_is_typed_not_a_panic() {
         let m = model();
-        let r = vec![1.0 / m.n_categories() as f64; m.n_categories()];
-        let mut planner = KnobPlanner::new();
-        let _ = planner.plan(&m, &r, 2.0).unwrap();
-        assert_eq!(planner.last_stats.n_vars, m.n_configs() * m.n_categories());
-        assert_eq!(planner.last_stats.n_constraints, 1 + m.n_categories());
+        let n_c = m.n_categories();
+        for len in [n_c - 1, n_c + 1] {
+            let r = vec![1.0 / len as f64; len];
+            match plan_knobs(&m, &r, 2.0) {
+                Err(SkyError::ForecastShape {
+                    stream: 0,
+                    expected,
+                    got,
+                }) => assert_eq!((expected, got), (n_c, len)),
+                other => panic!("length {len}: expected ForecastShape, got {other:?}"),
+            }
+        }
     }
 }

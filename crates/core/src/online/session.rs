@@ -57,7 +57,7 @@ use crate::offline::forecast::{CategoryTimeline, Forecaster};
 use crate::offline::FittedModel;
 use crate::online::drift::DriftDetector;
 use crate::online::plan::KnobPlan;
-use crate::online::planner::KnobPlanner;
+use crate::online::planner::plan_knobs;
 use crate::online::switcher::{Decision, KnobSwitcher, SwitcherLimits};
 use crate::workload::Workload;
 
@@ -534,17 +534,6 @@ fn enc_state(e: &mut Enc, s: &SessionState) {
     for w in s.rng.state_words() {
         e.u64(w);
     }
-    e.usize(s.planner.last_stats.n_vars);
-    e.usize(s.planner.last_stats.n_constraints);
-    e.usize(s.planner.last_stats.pivots);
-    // The warm-start basis travels with the checkpoint so a resumed session
-    // replans with the same warm/cold history (and therefore the same
-    // recorded pivot counts) as the uninterrupted run.
-    let basis_words = s.planner.basis.to_words();
-    e.usize(basis_words.len());
-    for &w in &basis_words {
-        e.u64(w);
-    }
     enc_opt(e, &s.switcher, |e, sw| {
         let (plan, usage, cur) = sw.parts();
         codec::enc_plan(e, plan);
@@ -626,18 +615,6 @@ fn dec_state(d: &mut Dec) -> DecodeResult<SessionState> {
         *w = d.u64("state rng word")?;
     }
     let rng = StdRng::from_state_words(words);
-    let last_stats = crate::online::planner::PlannerStats {
-        n_vars: d.usize("state planner n_vars")?,
-        n_constraints: d.usize("state planner n_constraints")?,
-        pivots: d.usize("state planner pivots")?,
-    };
-    let n_basis_words = d.len(8, "state planner basis words")?;
-    let basis_words = (0..n_basis_words)
-        .map(|_| d.u64("state planner basis word"))
-        .collect::<DecodeResult<Vec<u64>>>()?;
-    let basis = vetl_lp::LpBasis::from_words(&basis_words)
-        .ok_or_else(|| "malformed planner basis".to_string())?;
-    let planner = KnobPlanner { last_stats, basis };
     let switcher = dec_opt(d, "state switcher", |d| {
         let plan = codec::dec_plan(d)?;
         let n = d.len(8, "state usage rows")?;
@@ -736,7 +713,6 @@ fn dec_state(d: &mut Dec) -> DecodeResult<SessionState> {
     let gate = dec_opt(d, "state reorder gate", dec_reorder_gate)?;
     Ok(SessionState {
         rng,
-        planner,
         switcher,
         backlog,
         history,
@@ -774,7 +750,6 @@ fn dec_state(d: &mut Dec) -> DecodeResult<SessionState> {
 #[derive(Debug, Clone)]
 struct SessionState {
     rng: StdRng,
-    planner: KnobPlanner,
     /// `None` until the first plan is computed (lazily on first push) or
     /// installed ([`IngestSession::install_plan`]).
     switcher: Option<KnobSwitcher>,
@@ -1124,7 +1099,6 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     ) -> Self {
         let state = SessionState {
             rng: StdRng::seed_from_u64(options.seed),
-            planner: KnobPlanner::new(),
             switcher: None,
             backlog: Backlog::new(),
             history: model.tail.categories.clone(),
@@ -1467,7 +1441,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
             self.forecast_r(self.recent_history(), i)
         };
 
-        let plan: KnobPlan = self.state.planner.plan(model, &r, budget)?;
+        let plan: KnobPlan = plan_knobs(model, &r, budget)?;
         self.install_plan(plan);
         if !initial {
             self.state.cloud_left = self.options.cloud_budget_usd;

@@ -54,7 +54,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vetl_exec::ActorPool;
-use vetl_lp::LpBasis;
 use vetl_sim::CostModel;
 use vetl_video::Segment;
 
@@ -397,11 +396,6 @@ pub struct IngestRuntime<'a> {
     total_cores: Option<f64>,
     joint_plans: usize,
     last_joint_plan: Option<JointPlanRecord>,
-    /// Warm-start basis carried across epoch barriers. Deliberately *not*
-    /// part of the durable snapshot: [`JointPlanRecord`] carries no pivot
-    /// counts, so a recovered runtime that cold-solves its first barrier
-    /// produces bitwise-identical plans and observable state.
-    joint_basis: LpBasis,
     /// A full epoch completed; the barrier (settle + joint replan) fires
     /// lazily when the next batch dispatches — exactly when the sequential
     /// server would replan on the first push of the next epoch.
@@ -475,7 +469,6 @@ impl<'a> IngestRuntime<'a> {
             total_cores: cfg.total_cores,
             joint_plans: 0,
             last_joint_plan: None,
-            joint_basis: LpBasis::new(),
             barrier_pending: false,
             epoch: 0,
             processed_total: 0,
@@ -1254,7 +1247,6 @@ impl<'a> IngestRuntime<'a> {
         if let (Some(o), Some(t)) = (obs.as_deref(), t_settle) {
             o.registry.record(HistId::BarrierSettle, t.elapsed());
         }
-        let misses_before = self.joint_basis.misses();
         let t_lp = obs.as_deref().map(|_| Instant::now());
         let (plans, math) = plan_epoch(
             &models,
@@ -1263,20 +1255,10 @@ impl<'a> IngestRuntime<'a> {
             budget,
             &self.cost_model,
             self.replan_interval,
-            &mut self.joint_basis,
         )?;
         if let (Some(o), Some(t)) = (obs.as_deref(), t_lp) {
-            let elapsed = t.elapsed();
-            // Cold vs warm is what the solver did, not what it was handed:
-            // a carried basis that fails to re-certify (any admission or
-            // close reshapes the LP) still pays the full simplex.
-            if self.joint_basis.misses() != misses_before {
-                o.registry.inc(CounterId::LpSolvesCold);
-                o.registry.record(HistId::BarrierLpSolveCold, elapsed);
-            } else {
-                o.registry.inc(CounterId::LpSolvesWarm);
-                o.registry.record(HistId::BarrierLpSolveWarm, elapsed);
-            }
+            o.registry.inc(CounterId::LpSolvesCold);
+            o.registry.record(HistId::BarrierLpSolveCold, t.elapsed());
         }
 
         let t_resplit = obs.as_deref().map(|_| Instant::now());

@@ -50,7 +50,10 @@ use crate::online::session::{
 
 const WAL_MAGIC: &[u8; 6] = b"SKYWAL";
 const CKPT_MAGIC: &[u8; 6] = b"SKYCKP";
-const VERSION: u16 = 3;
+// The journal and the checkpoint version independently, so a change to one
+// format leaves files of the other readable.
+const WAL_VERSION: u16 = 3;
+const CKPT_VERSION: u16 = 4;
 
 /// Bytes of the journal's file header (magic + version). Public to the
 /// crate so the chaos helpers can avoid tearing into the header.
@@ -309,7 +312,7 @@ impl Wal {
         if !path.exists() || fs::metadata(&path).map_err(|e| io_err(&path, e))?.len() == 0 {
             let mut header = Vec::with_capacity(HEADER_LEN as usize);
             header.extend_from_slice(WAL_MAGIC);
-            header.extend_from_slice(&VERSION.to_le_bytes());
+            header.extend_from_slice(&WAL_VERSION.to_le_bytes());
             fs::write(&path, header).map_err(|e| io_err(&path, e))?;
         }
         let file = OpenOptions::new()
@@ -434,9 +437,9 @@ pub(crate) fn read_journal(dir: &Path) -> Result<JournalScan, SkyError> {
         return Err(corrupt(format!("{}: bad magic", path.display())));
     }
     let version = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if version != VERSION {
+    if version != WAL_VERSION {
         return Err(corrupt(format!(
-            "{}: journal version {version}, this build supports {VERSION}",
+            "{}: journal version {version}, this build supports {WAL_VERSION}",
             path.display()
         )));
     }
@@ -705,7 +708,7 @@ pub(crate) fn write_snapshot(dir: &Path, snapshot: &RuntimeSnapshot) -> Result<(
     let payload = encode_snapshot(snapshot);
     let mut bytes = Vec::with_capacity(payload.len() + 24);
     bytes.extend_from_slice(CKPT_MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    bytes.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&codec::checksum(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
@@ -740,9 +743,9 @@ pub(crate) fn read_snapshot(dir: &Path) -> Result<Option<RuntimeSnapshot>, SkyEr
         return Err(ctx("bad magic".into()));
     }
     let version = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if version != VERSION {
+    if version != CKPT_VERSION {
         return Err(ctx(format!(
-            "checkpoint version {version}, this build supports {VERSION}"
+            "checkpoint version {version}, this build supports {CKPT_VERSION}"
         )));
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
@@ -763,6 +766,12 @@ pub(crate) fn read_snapshot(dir: &Path) -> Result<Option<RuntimeSnapshot>, SkyEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SkyscraperConfig;
+    use crate::offline::{run_offline, FittedModel};
+    use crate::online::session::IngestSession;
+    use crate::runtime::{DurabilityConfig, IngestRuntime, RuntimeConfig};
+    use crate::testkit::ToyWorkload;
+    use vetl_sim::HardwareSpec;
     use vetl_video::{ContentParams, Recording, SyntheticCamera};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1054,6 +1063,114 @@ mod tests {
         let scan = read_journal(&dir).expect("scan");
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].0, 7, "sequence numbers keep counting");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // ---- Format guards: each file changes only on purpose. ----
+
+    /// The toy model and an online recording longer than two planned
+    /// intervals (`fast_test`: 4 h = 7 200 segments per interval).
+    fn toy() -> (ToyWorkload, FittedModel, Vec<Segment>) {
+        let w = ToyWorkload::new();
+        let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(3), 2.0);
+        let labeled = Recording::record(&mut cam, 20.0 * 60.0);
+        let unlabeled = Recording::record(&mut cam, 2.0 * 86_400.0);
+        let (model, _) = run_offline(
+            &w,
+            &labeled,
+            &unlabeled,
+            HardwareSpec::with_cores(2),
+            &SkyscraperConfig::fast_test(),
+        )
+        .expect("fit");
+        let online = Recording::record(&mut cam, 4.2 * 3_600.0);
+        (w, model, online.segments().to_vec())
+    }
+
+    /// 60-segment epochs, a snapshot at every barrier.
+    fn durable_cfg(dir: &Path) -> RuntimeConfig {
+        RuntimeConfig {
+            shards: 1,
+            replan_interval_secs: Some(120.0),
+            durability: Some(DurabilityConfig::new(dir)),
+            ..RuntimeConfig::default()
+        }
+    }
+
+    /// A durable runtime serves one toy stream through a few epochs, so a
+    /// real `runtime.ckpt` lands in `dir`, then drops without `finish` (a
+    /// crash).
+    fn serve_and_crash(dir: &Path, model: &FittedModel, w: &ToyWorkload, segs: &[Segment]) {
+        let mut rt = IngestRuntime::new(durable_cfg(dir));
+        let id = rt
+            .open_stream("cam-0", model, w, IngestOptions::default())
+            .expect("open");
+        for seg in &segs[..200] {
+            rt.push(id, seg).expect("push");
+        }
+    }
+
+    #[test]
+    fn checkpoint_is_v4_and_a_fresh_journal_is_still_v3() {
+        let dir = tmpdir("headers");
+        Wal::open(&dir, 0).expect("open");
+        assert_eq!(fs::read(wal_file(&dir)).expect("read"), b"SKYWAL\x03\x00");
+        fs::remove_dir_all(&dir).expect("clean");
+
+        let (w, model, segs) = toy();
+        serve_and_crash(&dir, &model, &w, &segs);
+        let ckpt = fs::read(ckpt_file(&dir)).expect("a snapshot was written");
+        assert_eq!(&ckpt[..8], b"SKYCKP\x04\x00");
+        assert_eq!(
+            &fs::read(wal_file(&dir)).expect("read")[..8],
+            b"SKYWAL\x03\x00"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The session checkpoint's bytes for a fixed toy session, after pushes
+    /// across two planned intervals (so the internal planner ran twice). A
+    /// change here is a checkpoint format change: bump `CKPT_VERSION`.
+    #[test]
+    fn session_checkpoint_bytes_are_pinned() {
+        let (w, model, segs) = toy();
+        let mut session = IngestSession::new(&model, &w, IngestOptions::default());
+        for seg in &segs[..7_300] {
+            session.push(seg).expect("push");
+        }
+        assert_eq!(session.plans(), 2, "initial plan + one interval replan");
+        let bytes = session.checkpoint().encode();
+        assert_eq!(
+            (bytes.len(), codec::checksum(&bytes)),
+            (211_910, 0x137a_df3b_d1b2_f000),
+            "SessionCheckpoint::encode drifted"
+        );
+    }
+
+    #[test]
+    fn v3_checkpoint_fails_recover_typed() {
+        let (w, model, segs) = toy();
+        let dir = tmpdir("v3-ckpt");
+        serve_and_crash(&dir, &model, &w, &segs);
+        let resolve =
+            |_: usize, _: &str| Some((&model, &w as &(dyn crate::workload::Workload + '_)));
+        // Control: the v4 snapshot this build wrote recovers.
+        let (rt, report) = IngestRuntime::recover(durable_cfg(&dir), &resolve).expect("v4");
+        assert!(report.resumed_from_snapshot);
+        drop(rt);
+
+        let path = ckpt_file(&dir);
+        let mut bytes = fs::read(&path).expect("read");
+        bytes[6..8].copy_from_slice(&3u16.to_le_bytes());
+        fs::write(&path, bytes).expect("write");
+        match IngestRuntime::recover(durable_cfg(&dir), &resolve) {
+            Err(SkyError::CorruptWal { detail }) => assert!(
+                detail.contains("version 3") && detail.contains("supports 4"),
+                "{detail}"
+            ),
+            Err(e) => panic!("wrong error class: {e}"),
+            Ok(_) => panic!("a v3 checkpoint must not recover"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

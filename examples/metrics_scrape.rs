@@ -94,7 +94,7 @@ fn main() {
         print!("{}", snapshot.render_prometheus());
         println!("--- end exposition ---\n");
 
-        for name in ["session_push", "batch_dispatch", "barrier_lp_solve_warm"] {
+        for name in ["session_push", "batch_dispatch", "barrier_lp_solve_cold"] {
             if let Some(h) = snapshot.histogram(name) {
                 if h.count > 0 {
                     println!(

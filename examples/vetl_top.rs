@@ -68,7 +68,6 @@ fn draw(frame: usize, frames: usize, m: &RuntimeMetrics, snap: &MetricsSnapshot)
         "mailbox_drain",
         "batch_dispatch",
         "barrier_lp_solve_cold",
-        "barrier_lp_solve_warm",
         "wal_append",
     ] {
         if let Some(h) = snap.histogram(name) {
@@ -85,10 +84,9 @@ fn draw(frame: usize, frames: usize, m: &RuntimeMetrics, snap: &MetricsSnapshot)
         }
     }
     let barriers = snap.counter("epoch_barriers").unwrap_or(0);
-    let cold = snap.counter("lp_solves_cold").unwrap_or(0);
-    let warm = snap.counter("lp_solves_warm").unwrap_or(0);
+    let solves = snap.counter("lp_solves_cold").unwrap_or(0);
     println!();
-    println!("  barriers {barriers}  lp cold/warm {cold}/{warm}");
+    println!("  barriers {barriers}  lp solves {solves}");
 }
 
 fn main() {

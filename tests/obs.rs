@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use vetl::prelude::*;
-use vetl::skyscraper::obs::{CounterId, GaugeId};
+use vetl::skyscraper::obs::{CounterId, GaugeId, HistId};
 use vetl::skyscraper::offline::run_offline;
 use vetl::skyscraper::runtime::wal_path;
 use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
@@ -239,12 +239,14 @@ fn recording_is_bitwise_invisible_for_any_schedule_and_shard_count() {
             assert!(obs.registry.counter(CounterId::SessionPushes) > 0);
             assert!(obs.registry.counter(CounterId::SessionPushes) <= total_pushed);
             assert!(obs.registry.counter(CounterId::EpochBarriers) > 0);
-            // Every admission reshapes the joint LP, so the carried basis
-            // cannot re-certify and the solve is booked as what it was.
-            assert!(
-                obs.registry.counter(CounterId::LpSolvesCold) >= schedule.opens.len() as u64,
-                "each admission re-solves the joint LP from scratch"
-            );
+            // Planning carries no solver state: one cold solve per joint
+            // plan, counted and timed exactly once each. Every barrier runs
+            // one joint plan; `finish` can cross a pending barrier after
+            // `joint_plans` was read, so count plans as barriers.
+            let plans = obs.registry.counter(CounterId::EpochBarriers);
+            assert!(plans >= on.joint_plans as u64);
+            assert_eq!(obs.registry.counter(CounterId::LpSolvesCold), plans);
+            assert_eq!(obs.registry.hist(HistId::BarrierLpSolveCold).count(), plans);
             assert!(obs.flight.recorded() > 0, "flight recorder saw the run");
             let events = obs.flight.events();
             let tags: Vec<&str> = events.iter().map(|(_, e)| e.tag()).collect();
