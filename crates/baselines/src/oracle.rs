@@ -9,12 +9,14 @@
 //!
 //! [`greedy_mckp`] is the reusable core: every item (segment) starts at its
 //! cheapest candidate; candidates are reduced to their **concave efficiency
-//! frontier** (upper convex hull), whose marginal efficiencies decrease
-//! along the frontier; upgrades are then applied globally in decreasing
-//! Δvalue/Δweight order until the budget runs out. The idealized system of
-//! Appendix B.1 reuses it with *predicted* values.
+//! frontier** ([`vetl_lp::concave_frontier`], the planner's own), whose
+//! marginal efficiencies strictly decrease along the frontier; upgrades are
+//! then applied globally in decreasing Δvalue/Δweight order until the budget
+//! runs out. The idealized system of Appendix B.1 reuses it with *predicted*
+//! values.
 
 use skyscraper::{KnobConfig, Workload};
+use vetl_lp::concave_frontier;
 use vetl_video::Segment;
 
 use crate::BaselineOutcome;
@@ -26,44 +28,6 @@ struct Upgrade {
     to: u32,
     dv: f64,
     dw: f64,
-}
-
-/// Reduce candidate `(weight, value)` points to the concave frontier,
-/// keeping the original candidate indices.
-fn concave_frontier(points: &[(f64, f64)]) -> Vec<(usize, f64, f64)> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by(|&a, &b| {
-        points[a]
-            .0
-            .partial_cmp(&points[b].0)
-            .expect("finite weight")
-            .then(points[b].1.partial_cmp(&points[a].1).expect("finite value"))
-    });
-    // Keep only strictly-improving values.
-    let mut improving: Vec<(usize, f64, f64)> = Vec::new();
-    for &i in &order {
-        let (w, v) = points[i];
-        if improving.last().is_none_or(|l| v > l.2 + 1e-12) {
-            improving.push((i, w, v));
-        }
-    }
-    // Upper-hull sweep: marginal efficiency must decrease along the hull.
-    let mut hull: Vec<(usize, f64, f64)> = Vec::new();
-    for p in improving {
-        while hull.len() >= 2 {
-            let a = hull[hull.len() - 2];
-            let b = hull[hull.len() - 1];
-            let eff_ab = (b.2 - a.2) / (b.1 - a.1).max(1e-12);
-            let eff_bp = (p.2 - b.2) / (p.1 - b.1).max(1e-12);
-            if eff_bp > eff_ab {
-                hull.pop();
-            } else {
-                break;
-            }
-        }
-        hull.push(p);
-    }
-    hull
 }
 
 /// Greedy multiple-choice knapsack.
@@ -99,10 +63,8 @@ pub fn greedy_mckp(options: &[Vec<(f64, f64)>], budget: f64) -> (Vec<usize>, f64
     // Global greedy in decreasing efficiency; per-item level order is
     // guaranteed by frontier concavity (ties resolved by level).
     upgrades.sort_by(|a, b| {
-        let ea = a.dv / a.dw.max(1e-12);
-        let eb = b.dv / b.dw.max(1e-12);
-        eb.partial_cmp(&ea)
-            .expect("finite efficiency")
+        (b.dv / b.dw)
+            .total_cmp(&(a.dv / a.dw))
             .then(a.to.cmp(&b.to))
     });
     let mut level = vec![0u32; options.len()];
@@ -176,25 +138,6 @@ mod tests {
             .to_vec();
         let configs: Vec<KnobConfig> = w.config_space().iter().collect();
         (w, configs, segs)
-    }
-
-    #[test]
-    fn frontier_is_concave_and_keeps_indices() {
-        let pts = vec![
-            (1.0, 0.2),
-            (2.0, 0.5),
-            (3.0, 0.55),
-            (4.0, 0.9),
-            (10.0, 0.95),
-        ];
-        let hull = concave_frontier(&pts);
-        for w in hull.windows(3) {
-            let e1 = (w[1].2 - w[0].2) / (w[1].1 - w[0].1);
-            let e2 = (w[2].2 - w[1].2) / (w[2].1 - w[1].1);
-            assert!(e2 <= e1 + 1e-12, "non-concave frontier {hull:?}");
-        }
-        assert_eq!(hull[0].0, 0);
-        assert_eq!(hull.last().unwrap().0, 4);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Error types for the Skyscraper engine.
 
-use vetl_lp::LpError;
-
 /// Errors surfaced by the offline and online phases.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SkyError {
@@ -15,8 +13,6 @@ pub enum SkyError {
         /// Cluster throughput, core-s per wall-s.
         cluster_throughput: f64,
     },
-    /// The knob planner's linear program failed to solve.
-    PlannerLp(LpError),
     /// The offline phase was given insufficient data.
     InsufficientData {
         /// What was missing.
@@ -252,7 +248,6 @@ impl std::fmt::Display for SkyError {
                 "under-provisioned: cheapest configuration needs {cheapest_work_rate:.2} core-s/s \
                  but the cluster only retires {cluster_throughput:.2} core-s/s"
             ),
-            SkyError::PlannerLp(e) => write!(f, "knob planner LP failed: {e}"),
             SkyError::InsufficientData { what } => {
                 write!(f, "offline phase needs more data: {what}")
             }
@@ -370,12 +365,6 @@ impl std::fmt::Display for SkyError {
 // the cause twice otherwise.
 impl std::error::Error for SkyError {}
 
-impl From<LpError> for SkyError {
-    fn from(e: LpError) -> Self {
-        SkyError::PlannerLp(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,8 +376,6 @@ mod tests {
             cluster_throughput: 2.0,
         };
         assert!(e.to_string().contains("under-provisioned"));
-        let e = SkyError::PlannerLp(LpError::Infeasible);
-        assert!(e.to_string().contains("infeasible"));
         let e = SkyError::StreamCountMismatch {
             what: "forecast",
             expected: 3,
@@ -547,7 +534,6 @@ mod tests {
                 cheapest_work_rate: 3.0,
                 cluster_throughput: 2.0,
             },
-            SkyError::PlannerLp(LpError::Infeasible),
             SkyError::InsufficientData { what: "segments" },
             SkyError::NotFitted,
             SkyError::EmptyConfigSpace,

@@ -38,7 +38,7 @@
 //! redistributed by the next joint plan ([`MultiStreamServer::last_joint_plan`]
 //! records each plan's inputs).
 
-use vetl_lp::{solve, solve_warm, LpBasis, LpProblem, Relation};
+use vetl_lp::LpBasis;
 use vetl_sim::CostModel;
 use vetl_video::Segment;
 
@@ -46,46 +46,25 @@ use crate::dedupe::{DedupCache, DedupPolicy};
 use crate::error::SkyError;
 use crate::offline::FittedModel;
 use crate::online::plan::KnobPlan;
+use crate::online::planner::walk_plans;
 use crate::online::session::{IngestOptions, IngestOutcome, IngestSession, StepReport};
 use crate::workload::Workload;
 
-/// Joint knob planning across streams (Eqs. 7–9).
+/// Joint knob planning across streams (Eqs. 7–9), by the same threshold
+/// walk as [`crate::plan_knobs`], with config `k` priced at its mean work
+/// `config.work_mean` on every category.
 ///
 /// `rs[v]` is stream `v`'s forecast; `budget_per_seg_total` the shared
 /// budget in core-seconds per segment round summed over streams. Invalid
 /// admissions (no streams, one forecast missing, a forecast whose dimension
-/// disagrees with its model) are rejected with typed [`SkyError`]s so a
-/// server can refuse them instead of crashing.
+/// disagrees with its model, a NaN, infinite or negative forecast entry, a
+/// NaN budget) are rejected with typed [`SkyError`]s so a server can refuse
+/// them instead of crashing. A budget below every stream's cheapest plan
+/// gives every stream its cheapest configuration.
 pub fn joint_plan(
     models: &[&FittedModel],
     rs: &[Vec<f64>],
     budget_per_seg_total: f64,
-) -> Result<Vec<KnobPlan>, SkyError> {
-    joint_plan_inner(models, rs, budget_per_seg_total, None)
-}
-
-/// [`joint_plan`] seeded from (and updating) the previous call's optimal
-/// basis. Bitwise identical to the cold path — warm solves only skip the
-/// simplex when the stored basis re-certifies as the unique optimum of the
-/// new LP, which is exactly when the cold solver would land on it too.
-///
-/// No engine calls this: every plan the runtime and the sequential server
-/// install is one cold [`joint_plan`]. It stays for the benchmark's
-/// `planner.joint_lp_warm_ms_v64` probe.
-pub fn joint_plan_warm(
-    models: &[&FittedModel],
-    rs: &[Vec<f64>],
-    budget_per_seg_total: f64,
-    basis: &mut LpBasis,
-) -> Result<Vec<KnobPlan>, SkyError> {
-    joint_plan_inner(models, rs, budget_per_seg_total, Some(basis))
-}
-
-fn joint_plan_inner(
-    models: &[&FittedModel],
-    rs: &[Vec<f64>],
-    budget_per_seg_total: f64,
-    basis: Option<&mut LpBasis>,
 ) -> Result<Vec<KnobPlan>, SkyError> {
     if models.is_empty() {
         return Err(SkyError::NoStreams);
@@ -97,74 +76,20 @@ fn joint_plan_inner(
             got: rs.len(),
         });
     }
-    for (v, (model, r)) in models.iter().zip(rs).enumerate() {
-        if r.len() != model.n_categories() {
-            return Err(SkyError::ForecastShape {
-                stream: v,
-                expected: model.n_categories(),
-                got: r.len(),
-            });
-        }
-    }
+    walk_plans(models, rs, budget_per_seg_total, |m, k, _| {
+        m.configs[k].work_mean
+    })
+}
 
-    let mut lp = LpProblem::new();
-    // Variables per stream: alpha[v][c][k].
-    let mut vars: Vec<Vec<Vec<vetl_lp::VarId>>> = Vec::with_capacity(models.len());
-    for (v, model) in models.iter().enumerate() {
-        let mut per_c = Vec::with_capacity(model.n_categories());
-        for (c, &rc) in rs[v].iter().enumerate() {
-            let mut per_k = Vec::with_capacity(model.n_configs());
-            for k in 0..model.n_configs() {
-                let obj = rc * model.categories.avg_quality(k, c);
-                per_k.push(lp.add_var(format!("a{v}_{k}_{c}"), obj));
-            }
-            per_c.push(per_k);
-        }
-        vars.push(per_c);
-    }
-    // Eq. 8: shared budget over all streams.
-    let mut budget_terms = Vec::new();
-    for (v, model) in models.iter().enumerate() {
-        for (row, &rc) in vars[v].iter().zip(rs[v].iter()) {
-            for (&var, config) in row.iter().zip(model.configs.iter()) {
-                budget_terms.push((var, rc * config.work_mean));
-            }
-        }
-    }
-    lp.add_constraint(budget_terms, Relation::Le, budget_per_seg_total);
-    // Eq. 9: normalization for every category of every stream.
-    for per_c in &vars {
-        for row in per_c {
-            let terms: Vec<_> = row.iter().map(|&var| (var, 1.0)).collect();
-            lp.add_constraint(terms, Relation::Eq, 1.0);
-        }
-    }
-
-    let solved = match basis {
-        Some(b) => solve_warm(&lp, b),
-        None => solve(&lp),
-    };
-    match solved {
-        Ok(sol) => Ok(models
-            .iter()
-            .enumerate()
-            .map(|(v, model)| {
-                let alpha: Vec<Vec<f64>> = (0..model.n_categories())
-                    .map(|c| {
-                        (0..model.n_configs())
-                            .map(|k| sol.value(vars[v][c][k]))
-                            .collect()
-                    })
-                    .collect();
-                KnobPlan::new(alpha)
-            })
-            .collect()),
-        Err(vetl_lp::LpError::Infeasible) => Ok(models
-            .iter()
-            .map(|m| KnobPlan::single_config(m.n_categories(), m.n_configs(), m.cheapest()))
-            .collect()),
-        Err(e) => Err(SkyError::PlannerLp(e)),
-    }
+/// [`joint_plan`], ignoring `_basis`: plans carry no solver state. Kept
+/// because the benchmark's planner probe calls it.
+pub fn joint_plan_warm(
+    models: &[&FittedModel],
+    rs: &[Vec<f64>],
+    budget_per_seg_total: f64,
+    _basis: &mut LpBasis,
+) -> Result<Vec<KnobPlan>, SkyError> {
+    joint_plan(models, rs, budget_per_seg_total)
 }
 
 /// Handle of an admitted stream (index into the server's session table).
@@ -893,6 +818,22 @@ mod tests {
                 got: m1.n_categories() + 1,
             }
         );
+        let even = vec![1.0 / m1.n_categories() as f64; m1.n_categories()];
+        for bad in [f64::NAN, f64::NEG_INFINITY, -1e-3] {
+            let mut r = even.clone();
+            r[m1.n_categories() - 1] = bad;
+            assert!(
+                matches!(
+                    joint_plan(&[&m1], &[r], 1.0),
+                    Err(SkyError::InvalidInput { .. })
+                ),
+                "forecast entry {bad} must be rejected typed"
+            );
+        }
+        assert!(matches!(
+            joint_plan(&[&m1], &[even], f64::NAN),
+            Err(SkyError::InvalidInput { .. })
+        ));
     }
 
     #[test]

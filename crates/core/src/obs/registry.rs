@@ -65,7 +65,7 @@ metric_ids! {
         BatchDispatches => "batch_dispatches",
         /// Epoch barriers crossed (settle + joint replan + broadcast).
         EpochBarriers => "epoch_barriers",
-        /// Joint LP solves — every joint solve is one cold simplex, so this
+        /// Joint LP solves — one threshold walk per joint plan, so this
         /// equals the `joint_plans` gauge.
         LpSolvesCold => "lp_solves_cold",
         /// Records appended to the write-ahead journal.
@@ -138,8 +138,7 @@ metric_ids! {
         BatchDispatch => "batch_dispatch",
         /// Barrier phase: close-settling + forecast gather.
         BarrierSettle => "barrier_settle",
-        /// Barrier phase: the joint LP solve (every joint solve, one cold
-        /// simplex each).
+        /// Barrier phase: the joint LP solve (one threshold walk).
         BarrierLpSolveCold => "barrier_lp_solve_cold",
         /// Barrier phase: plan install + core/wallet re-split.
         BarrierWalletResplit => "barrier_wallet_resplit",

@@ -13,24 +13,29 @@
 //! The budget is expressed in on-premise `core·s` per segment; Skyscraper
 //! internally converts the user's cloud-credit budget into that unit
 //! (footnote 4) via [`vetl_sim::CostModel`].
+//!
+//! The LP is a multiple-choice knapsack with one block per category (one
+//! per stream and category for the joint Eqs. 7–9), so it is solved exactly
+//! by [`vetl_lp::threshold_walk`] — no simplex.
 
-use vetl_lp::{solve, LpProblem, Relation};
+use vetl_lp::{threshold_walk, Block};
 
 use crate::error::SkyError;
 use crate::offline::FittedModel;
 use crate::online::plan::KnobPlan;
 
 /// Compute the optimal plan for forecast `r` (a distribution over
-/// categories) under `budget_per_seg` core-seconds per segment: one cold
-/// solve of Eqs. 2–4, a pure function of its inputs.
+/// categories) under `budget_per_seg` core-seconds per segment: Eqs. 2–4
+/// priced with the category-conditional cost [`FittedModel::cost`], a pure
+/// function of its inputs.
 ///
 /// A forecast whose length is not the model's category count is rejected
 /// typed ([`SkyError::ForecastShape`], stream 0), as [`joint_plan`] rejects
-/// it per stream. Infeasibility cannot occur as long as the cheapest
-/// configuration fits the budget; if the LP is infeasible regardless
-/// (budget below the cheapest configuration's cost), the planner degrades
-/// to the all-cheapest plan rather than failing the pipeline — mirroring
-/// the paper's guarantee that Skyscraper keeps ingesting.
+/// it per stream; a NaN, infinite or negative forecast entry or a NaN
+/// budget is [`SkyError::InvalidInput`]. A budget below the all-cheapest
+/// plan's cost degrades to the all-cheapest plan rather than failing the
+/// pipeline — mirroring the paper's guarantee that Skyscraper keeps
+/// ingesting.
 ///
 /// [`joint_plan`]: crate::multistream::joint_plan
 pub fn plan_knobs(
@@ -38,50 +43,65 @@ pub fn plan_knobs(
     r: &[f64],
     budget_per_seg: f64,
 ) -> Result<KnobPlan, SkyError> {
-    let n_k = model.n_configs();
-    let n_c = model.n_categories();
-    if r.len() != n_c {
-        return Err(SkyError::ForecastShape {
-            stream: 0,
-            expected: n_c,
-            got: r.len(),
+    let mut plans = walk_plans(&[model], &[r], budget_per_seg, FittedModel::cost)?;
+    Ok(plans.pop().expect("one model, one plan"))
+}
+
+/// The planner LP over every (stream, category) block by threshold walk:
+/// block `(v, c)` weighs `rs[v][c]` and holds `(cost(model, k, c), q̂(k, c))`
+/// per configuration `k`. The one routine behind [`plan_knobs`] and
+/// [`crate::multistream::joint_plan`], which differ only in `cost`.
+/// `rs` has one forecast per model (callers check the count).
+pub(crate) fn walk_plans<R: AsRef<[f64]>>(
+    models: &[&FittedModel],
+    rs: &[R],
+    budget: f64,
+    cost: impl Fn(&FittedModel, usize, usize) -> f64,
+) -> Result<Vec<KnobPlan>, SkyError> {
+    for (v, (model, r)) in models.iter().zip(rs).enumerate() {
+        let r = r.as_ref();
+        if r.len() != model.n_categories() {
+            return Err(SkyError::ForecastShape {
+                stream: v,
+                expected: model.n_categories(),
+                got: r.len(),
+            });
+        }
+        if r.iter().any(|&rc| !rc.is_finite() || rc < 0.0) {
+            return Err(SkyError::InvalidInput {
+                what: "forecast entry that is NaN, infinite or negative",
+            });
+        }
+    }
+    if budget.is_nan() {
+        return Err(SkyError::InvalidInput {
+            what: "NaN planning budget",
         });
     }
-
-    let mut lp = LpProblem::new();
-    // Variable layout: alpha[c][k] at index c * n_k + k.
-    let mut vars = Vec::with_capacity(n_c * n_k);
-    for (c, &rc) in r.iter().enumerate() {
-        for k in 0..n_k {
-            let obj = rc * model.categories.avg_quality(k, c);
-            vars.push(lp.add_var(format!("a_{k}_{c}"), obj));
-        }
-    }
-    // Eq. 3: budget, with category-conditional expected costs.
-    let budget_terms: Vec<_> = (0..n_c)
-        .flat_map(|c| (0..n_k).map(move |k| (c, k)))
-        .map(|(c, k)| (vars[c * n_k + k], r[c] * model.cost(k, c)))
-        .collect();
-    lp.add_constraint(budget_terms, Relation::Le, budget_per_seg);
-    // Eq. 4: normalization per category.
-    for c in 0..n_c {
-        let terms: Vec<_> = (0..n_k).map(|k| (vars[c * n_k + k], 1.0)).collect();
-        lp.add_constraint(terms, Relation::Eq, 1.0);
-    }
-
-    match solve(&lp) {
-        Ok(sol) => {
-            let alpha: Vec<Vec<f64>> = (0..n_c)
-                .map(|c| (0..n_k).map(|k| sol.value(vars[c * n_k + k])).collect())
+    let mut blocks = Vec::new();
+    for (model, r) in models.iter().zip(rs) {
+        for (c, &rc) in r.as_ref().iter().enumerate() {
+            let points = (0..model.n_configs())
+                .map(|k| (cost(model, k, c), model.categories.avg_quality(k, c)))
                 .collect();
-            Ok(KnobPlan::new(alpha))
+            blocks.push(Block { weight: rc, points });
         }
-        Err(vetl_lp::LpError::Infeasible) => {
-            // Budget below even the cheapest plan: degrade gracefully.
-            Ok(KnobPlan::single_config(n_c, n_k, model.cheapest()))
-        }
-        Err(e) => Err(SkyError::PlannerLp(e)),
     }
+    let plans = match threshold_walk(&blocks, budget) {
+        Some(rows) => {
+            let mut rows = rows.into_iter();
+            models
+                .iter()
+                .map(|m| KnobPlan::new(rows.by_ref().take(m.n_categories()).collect()))
+                .collect()
+        }
+        // Budget below even the all-cheapest plan: degrade gracefully.
+        None => models
+            .iter()
+            .map(|m| KnobPlan::single_config(m.n_categories(), m.n_configs(), m.cheapest()))
+            .collect(),
+    };
+    Ok(plans)
 }
 
 #[cfg(test)]
@@ -210,5 +230,18 @@ mod tests {
                 other => panic!("length {len}: expected ForecastShape, got {other:?}"),
             }
         }
+        let even = vec![1.0 / n_c as f64; n_c];
+        for bad in [f64::NAN, f64::INFINITY, -0.25] {
+            let mut r = even.clone();
+            r[0] = bad;
+            assert!(
+                matches!(plan_knobs(&m, &r, 2.0), Err(SkyError::InvalidInput { .. })),
+                "forecast entry {bad} must be rejected typed"
+            );
+        }
+        assert!(matches!(
+            plan_knobs(&m, &even, f64::NAN),
+            Err(SkyError::InvalidInput { .. })
+        ));
     }
 }

@@ -1862,3 +1862,143 @@ impl<'a> IngestRuntime<'a> {
         ))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SkyscraperConfig;
+    use crate::multistream::joint_plan;
+    use crate::offline::run_offline;
+    use crate::testkit::ToyWorkload;
+    use vetl_lp::{solve, LpProblem, Relation};
+    use vetl_sim::HardwareSpec;
+    use vetl_video::{ContentParams, Recording, SyntheticCamera};
+
+    /// What the next barrier plans over: every active stream's model and
+    /// forecast, in slot order.
+    fn pending_inputs<'a>(rt: &IngestRuntime<'a>) -> (Vec<&'a FittedModel>, Vec<Vec<f64>>) {
+        let sessions: Vec<_> = rt.active().filter_map(|s| s.session.as_ref()).collect();
+        let models = sessions.iter().map(|s| s.model()).collect();
+        let rs = sessions
+            .iter()
+            .map(|s| s.forecast_distribution().expect("forecast"))
+            .collect();
+        (models, rs)
+    }
+
+    /// Eqs. 7–9 built as an explicit LP and solved by the simplex: the
+    /// optimal objective, or `None` when infeasible.
+    fn simplex_objective(models: &[&FittedModel], rs: &[Vec<f64>], budget: f64) -> Option<f64> {
+        let mut lp = LpProblem::new();
+        let mut budget_terms = Vec::new();
+        let mut rows = Vec::new();
+        for (m, r) in models.iter().zip(rs) {
+            for (c, &rc) in r.iter().enumerate() {
+                let mut row = Vec::new();
+                for (k, config) in m.configs.iter().enumerate() {
+                    let var = lp.add_var("a", rc * m.categories.avg_quality(k, c));
+                    budget_terms.push((var, rc * config.work_mean));
+                    row.push((var, 1.0));
+                }
+                rows.push(row);
+            }
+        }
+        lp.add_constraint(budget_terms, Relation::Le, budget);
+        for row in rows {
+            lp.add_constraint(row, Relation::Eq, 1.0);
+        }
+        match solve(&lp) {
+            Ok(sol) => Some(sol.objective),
+            Err(vetl_lp::LpError::Infeasible) => None,
+            Err(e) => panic!("simplex failed: {e}"),
+        }
+    }
+
+    /// The plan a barrier installed, checked against the simplex over the
+    /// same inputs: equal objective, budget kept. Returns whether the
+    /// budget bound inside a frontier step (some row is fractional).
+    fn check_barrier(rt: &IngestRuntime<'_>, models: &[&FittedModel], rs: &[Vec<f64>]) -> bool {
+        let budget = rt.last_joint_plan().expect("planned").budget_per_seg_total;
+        let plans = joint_plan(models, rs, budget).expect("plan");
+        let quality: f64 = plans
+            .iter()
+            .zip(models.iter().zip(rs))
+            .map(|(p, (m, r))| p.expected_quality(r, |k, c| m.categories.avg_quality(k, c)))
+            .sum();
+        let cost: f64 = plans
+            .iter()
+            .zip(models.iter().zip(rs))
+            .map(|(p, (m, r))| p.expected_cost(r, |k| m.configs[k].work_mean))
+            .sum();
+        let lp = simplex_objective(models, rs, budget).expect("admission keeps the LP feasible");
+        assert!(
+            (quality - lp).abs() <= 1e-9 * lp.abs().max(1.0),
+            "barrier {}: walk {quality} vs simplex {lp}",
+            rt.joint_plans()
+        );
+        assert!(
+            cost <= budget * (1.0 + 1e-12),
+            "plan costs {cost} > {budget}"
+        );
+        plans.iter().zip(models).any(|(p, m)| {
+            (0..m.n_categories()).any(|c| p.histogram(c).iter().any(|&a| a > 0.0 && a < 1.0))
+        })
+    }
+
+    /// A V = 64 fleet through the runtime: every joint plan — 64 admissions
+    /// and every epoch barrier — has the simplex's optimal objective.
+    #[test]
+    fn every_barrier_plan_matches_the_simplex_at_v64() {
+        const V: usize = 64;
+        const QUOTA: usize = 10;
+        let w = ToyWorkload::new();
+        let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(5), 2.0);
+        let labeled = Recording::record(&mut cam, 20.0 * 60.0);
+        let unlabeled = Recording::record(&mut cam, 2.0 * 86_400.0);
+        let (model, _) = run_offline(
+            &w,
+            &labeled,
+            &unlabeled,
+            HardwareSpec::with_cores(4),
+            &SkyscraperConfig::fast_test(),
+        )
+        .expect("fit");
+        let online = Recording::record(&mut cam, 3.0 * 3_600.0);
+        let segs = online.segments();
+
+        let mut rt = IngestRuntime::new(RuntimeConfig {
+            shards: 2,
+            shared_cloud_budget_usd: 0.02,
+            replan_interval_secs: Some(QUOTA as f64 * model.seg_len),
+            total_cores: Some(V as f64),
+            ..RuntimeConfig::default()
+        });
+        let mut bound = 0;
+        let ids: Vec<StreamId> = (0..V)
+            .map(|v| {
+                let id = rt
+                    .open_stream(format!("cam-{v}"), &model, &w, IngestOptions::default())
+                    .expect("admit");
+                let (models, rs) = pending_inputs(&rt);
+                bound += usize::from(check_barrier(&rt, &models, &rs));
+                id
+            })
+            .collect();
+        // Each stream reads its own stretch of video, so forecasts differ.
+        let stride = segs.len() / V;
+        for epoch in 0..6 {
+            let (models, rs) = pending_inputs(&rt);
+            let plans_before = rt.joint_plans();
+            for (v, &id) in ids.iter().enumerate() {
+                let from = v * stride + epoch * QUOTA;
+                rt.push_batch(id, &segs[from..from + QUOTA]).expect("push");
+            }
+            if epoch > 0 {
+                assert_eq!(rt.joint_plans(), plans_before + 1, "one barrier per epoch");
+                bound += usize::from(check_barrier(&rt, &models, &rs));
+            }
+        }
+        assert_eq!(rt.joint_plans(), V + 5);
+        assert!(bound >= V / 4, "a frontier step bound only {bound} plans");
+    }
+}

@@ -1,25 +1,21 @@
-//! # vetl-lp — linear programming and knapsack solvers
+//! # vetl-lp — the knob planner's solver
 //!
-//! Skyscraper's knob planner formulates the assignment of knob configurations
-//! to content categories as a linear program (§4.1, Eqs. 2–4) and solves it
-//! with an off-the-shelf solver (SciPy `linprog` in the original artifact).
-//! The *Optimum* oracle baseline and the idealized system of Appendix B use a
-//! greedy 0-1 knapsack approximation.
+//! Skyscraper's knob planner assigns knob configurations to content
+//! categories with a linear program (§4.1, Eqs. 2–4; Eqs. 7–9 across
+//! streams, App. D), solved with SciPy `linprog` in the original artifact.
+//! That LP has one budget row plus one normalization row per (stream,
+//! category): the LP relaxation of a multiple-choice knapsack.
 //!
-//! This crate supplies both from scratch:
-//!
-//! * [`LpProblem`] / [`solve`] — a dense two-phase primal simplex supporting
-//!   `≤`, `≥` and `=` constraints over non-negative variables. The planner's
-//!   LPs have `|C|·|K|` variables and `1 + 2|C|` constraints (Fig. 13), i.e.
-//!   at most a few hundred variables — well within dense-tableau territory.
-//! * [`knapsack`] — greedy ratio approximation (with the classic best-item
-//!   fix-up giving a ½-approximation guarantee) and an exact dynamic program
-//!   used in tests and the Appendix-B idealized system.
+//! * [`mckp`] — solves it exactly by a threshold walk over the blocks'
+//!   concave frontiers ([`threshold_walk`]); [`concave_frontier`] also
+//!   backs the Optimum oracle's integral greedy.
+//! * [`LpProblem`] / [`solve`] — a dense two-phase primal simplex over
+//!   `≤`, `≥` and `=` constraints, kept as the walk's test oracle.
 
-pub mod knapsack;
+pub mod mckp;
 pub mod problem;
 pub mod simplex;
 
-pub use knapsack::{knapsack_exact, knapsack_greedy, KnapsackItem, KnapsackSolution};
+pub use mckp::{concave_frontier, threshold_walk, Block};
 pub use problem::{Constraint, LpProblem, LpSolution, Relation, VarId};
-pub use simplex::{solve, solve_warm, LpBasis, LpError};
+pub use simplex::{solve, LpBasis, LpError};

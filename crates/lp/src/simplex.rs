@@ -1,4 +1,4 @@
-//! Two-phase primal simplex on a dense tableau, with warm-started re-solves.
+//! Two-phase primal simplex on a dense tableau.
 //!
 //! The solver handles `maximize c·x` subject to mixed `≤ / ≥ / =` constraints
 //! over non-negative variables. Rows are normalized to non-negative
@@ -8,29 +8,8 @@
 //! guarantees termination in the presence of degeneracy — the planner LPs are
 //! degenerate whenever a content category's forecast ratio `r_c` is zero.
 //!
-//! # Warm starts
-//!
-//! [`solve_warm`] targets sequences of LPs whose constraint *structure* is
-//! fixed while the objective and a few coefficients drift: it remembers the
-//! optimal basis of the previous solve in an [`LpBasis`]. A warm solve
-//! *verifies* the stored basis against the new problem — primal feasibility,
-//! dual feasibility, and strict nondegeneracy margins — with two small `m×m`
-//! triangular solves instead of running the simplex. When the verification
-//! passes, the basis is provably the unique optimal basis and the solution is
-//! read off the basis system directly; otherwise the solver falls back to the
-//! exact cold path and stores the new basis.
-//!
-//! Warm and cold results are **bitwise identical**: both paths extract the
-//! final solution through the same canonical basis solve
-//! (`B·x_B = b` factored from the original normalized constraint data), so
-//! whenever warm verification succeeds — which implies cold simplex would
-//! terminate on the very same basis — the extracted bits match exactly.
-//! The unit tests and `tests/prop.rs` check this against [`solve`].
-//!
-//! Measured on the serving path's traffic, a stored basis never
-//! re-certifies (consecutive epochs' forecasts move the optimal vertex), so
-//! Skyscraper plans every epoch with one cold [`solve`]; only the
-//! benchmark's warm-solve probe still calls [`solve_warm`].
+//! No planner calls it: the planner LP is solved by [`crate::mckp`]'s
+//! threshold walk, and this general solver is the walk's test oracle.
 
 use crate::problem::{LpProblem, LpSolution, Relation};
 
@@ -60,17 +39,6 @@ impl std::error::Error for LpError {}
 
 const EPS: f64 = 1e-9;
 
-/// Strict margin for accepting a warm basis. Primal values and reduced costs
-/// must clear this (scaled) bound, which certifies the stored basis is the
-/// *unique* optimal basis — any degeneracy or alternate optimum forces the
-/// exact cold path instead, because there Bland's rule is what picks the
-/// winner and only the cold solver runs Bland's rule.
-const WARM_MARGIN: f64 = 1e-7;
-
-/// Pivots smaller than this during the basis-system factorization mean the
-/// candidate basis is numerically singular.
-const SINGULAR: f64 = 1e-12;
-
 /// Dense simplex tableau.
 struct Tableau {
     /// `rows × cols` coefficient matrix; the last column is the RHS.
@@ -79,9 +47,6 @@ struct Tableau {
     z: Vec<f64>,
     /// Basis: for each row, the column index of its basic variable.
     basis: Vec<usize>,
-    /// Number of structural + slack/surplus columns (artificials live after).
-    #[allow(dead_code)]
-    n_real: usize,
     pivots: usize,
 }
 
@@ -164,9 +129,7 @@ impl Tableau {
 
 /// Per-row normalization of the constraint system: non-negative RHS, the
 /// relation after a possible sign flip, and the slack/surplus/artificial
-/// column assigned to the row. Shared by the cold tableau build, the
-/// canonical extraction, and the warm verification so all three see the
-/// exact same normalized data.
+/// column assigned to the row.
 struct NormRows {
     n: usize,
     n_slack: usize,
@@ -251,326 +214,6 @@ impl NormRows {
     fn n_real(&self) -> usize {
         self.n + self.n_slack
     }
-
-    /// One byte per row describing its normalization: `rel << 1 | flip`.
-    /// Two problems with equal patterns (and equal `n`) have structurally
-    /// interchangeable bases.
-    fn pattern(&self) -> Vec<u8> {
-        self.specs
-            .iter()
-            .map(|&(flip, rel)| {
-                let r = match rel {
-                    Relation::Le => 0u8,
-                    Relation::Ge => 1,
-                    Relation::Eq => 2,
-                };
-                (r << 1) | u8::from(flip)
-            })
-            .collect()
-    }
-
-    /// Visit the normalized nonzero entries of row `r` as `(col, val)`, in
-    /// the same order the dense tableau build accumulates them (structural
-    /// terms first, then slack/surplus, then artificial). Duplicate
-    /// structural columns are emitted repeatedly, matching the tableau's
-    /// `+=` accumulation.
-    fn for_each_entry(&self, problem: &LpProblem, r: usize, mut f: impl FnMut(usize, f64)) {
-        let (flip, rel) = self.specs[r];
-        let sign = if flip { -1.0 } else { 1.0 };
-        for (v, coeff) in &problem.constraints[r].terms {
-            f(v.0, sign * coeff);
-        }
-        match rel {
-            Relation::Le => f(self.slack_col[r].expect("Le row has slack"), 1.0),
-            Relation::Ge => {
-                f(self.slack_col[r].expect("Ge row has surplus"), -1.0);
-                f(self.art_col[r].expect("Ge row has artificial"), 1.0);
-            }
-            Relation::Eq => f(self.art_col[r].expect("Eq row has artificial"), 1.0),
-        }
-    }
-
-    /// Objective coefficient of column `col` (zero for slack/surplus and
-    /// artificial columns).
-    fn objective_coeff(&self, problem: &LpProblem, col: usize) -> f64 {
-        if col < self.n {
-            problem.objective[col]
-        } else {
-            0.0
-        }
-    }
-}
-
-/// LU factorization (Doolittle, partial pivoting) of the `m×m` basis matrix.
-/// Row selection is deterministic — strictly larger magnitude wins, first
-/// occurrence on ties — so repeated factorizations of the same basis produce
-/// identical bits.
-struct FactoredBasis {
-    m: usize,
-    /// Packed L (unit diagonal, below) and U (on/above diagonal).
-    lu: Vec<f64>,
-    /// Row swapped with `k` at elimination step `k`.
-    perm: Vec<usize>,
-}
-
-impl FactoredBasis {
-    /// Build and factor the basis matrix whose columns are `basis_cols`
-    /// (sorted ascending) of the normalized constraint system. Returns
-    /// `None` when the matrix is numerically singular.
-    fn factor(problem: &LpProblem, norm: &NormRows, basis_cols: &[usize]) -> Option<Self> {
-        let m = norm.m();
-        debug_assert_eq!(basis_cols.len(), m, "basis must have one column per row");
-        let mut lu = vec![0.0; m * m];
-        for r in 0..m {
-            norm.for_each_entry(problem, r, |col, val| {
-                if let Ok(j) = basis_cols.binary_search(&col) {
-                    lu[r * m + j] += val;
-                }
-            });
-        }
-        let mut perm = Vec::with_capacity(m);
-        for k in 0..m {
-            let mut p = k;
-            let mut best = lu[k * m + k].abs();
-            for i in (k + 1)..m {
-                let v = lu[i * m + k].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best <= SINGULAR {
-                return None;
-            }
-            if p != k {
-                for j in 0..m {
-                    lu.swap(k * m + j, p * m + j);
-                }
-            }
-            perm.push(p);
-            let inv = 1.0 / lu[k * m + k];
-            for i in (k + 1)..m {
-                let f = lu[i * m + k] * inv;
-                lu[i * m + k] = f;
-                if f != 0.0 {
-                    for j in (k + 1)..m {
-                        lu[i * m + j] -= f * lu[k * m + j];
-                    }
-                }
-            }
-        }
-        Some(Self { m, lu, perm })
-    }
-
-    /// Solve `B·x = b` in place.
-    fn solve(&self, b: &mut [f64]) {
-        let m = self.m;
-        for (k, &p) in self.perm.iter().enumerate() {
-            b.swap(k, p);
-        }
-        for i in 1..m {
-            let mut s = b[i];
-            let row = &self.lu[i * m..i * m + i];
-            for (j, &l) in row.iter().enumerate() {
-                s -= l * b[j];
-            }
-            b[i] = s;
-        }
-        for i in (0..m).rev() {
-            let mut s = b[i];
-            let row = &self.lu[i * m + i + 1..(i + 1) * m];
-            for (k, &u) in row.iter().enumerate() {
-                s -= u * b[i + 1 + k];
-            }
-            b[i] = s / self.lu[i * m + i];
-        }
-    }
-
-    /// Solve `Bᵀ·x = c` in place (used for the dual vector).
-    fn solve_transposed(&self, c: &mut [f64]) {
-        let m = self.m;
-        // Bᵀ = Uᵀ Lᵀ P: forward with Uᵀ, backward with unit-diagonal Lᵀ,
-        // then undo the permutation.
-        for i in 0..m {
-            let mut s = c[i];
-            for (j, &cj) in c.iter().enumerate().take(i) {
-                s -= self.lu[j * m + i] * cj;
-            }
-            c[i] = s / self.lu[i * m + i];
-        }
-        for i in (0..m).rev() {
-            let mut s = c[i];
-            for (j, &cj) in c.iter().enumerate().skip(i + 1) {
-                s -= self.lu[j * m + i] * cj;
-            }
-            c[i] = s;
-        }
-        for (k, &p) in self.perm.iter().enumerate().rev() {
-            c.swap(k, p);
-        }
-    }
-}
-
-/// Canonical solution extraction: solve `B·x_B = b` from the original
-/// normalized constraint data for the given (sorted) basis and read off the
-/// structural values, clamped at zero. Both the cold and the warm path end
-/// here, which is what makes warm == cold bitwise whenever they agree on the
-/// basis. Returns `None` when the basis matrix is singular (redundant rows
-/// can leave a zero-level artificial basic; callers fall back to tableau
-/// values).
-fn extract_values(problem: &LpProblem, norm: &NormRows, basis_cols: &[usize]) -> Option<Vec<f64>> {
-    let factored = FactoredBasis::factor(problem, norm, basis_cols)?;
-    let mut x = norm.rhs.clone();
-    factored.solve(&mut x);
-    let mut values = vec![0.0; norm.n];
-    for (j, &col) in basis_cols.iter().enumerate() {
-        if col < norm.n {
-            values[col] = x[j].max(0.0);
-        }
-    }
-    Some(values)
-}
-
-// ---------------------------------------------------------------------------
-// Warm-started solving
-// ---------------------------------------------------------------------------
-
-/// Reusable solver state: the optimal basis of the previous [`solve_warm`]
-/// call plus the shape signature of the problem it solved.
-///
-/// The basis is invalidated (forcing a cold solve that stores a fresh one)
-/// whenever the variable count or the per-row normalization pattern changes,
-/// when it contains an artificial column (redundant rows), when the basis
-/// matrix turns singular, or when the strict optimality margins fail on the
-/// new problem — i.e. on any degeneracy or drift large enough to move the
-/// optimal vertex.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LpBasis {
-    /// Structural variable count of the problem the basis belongs to.
-    n: usize,
-    /// Per-row normalization pattern (`rel << 1 | flip`).
-    pattern: Vec<u8>,
-    /// Sorted basic column indices (structural/slack/artificial space).
-    cols: Vec<usize>,
-    hits: u64,
-    misses: u64,
-}
-
-impl LpBasis {
-    /// An empty basis; the first [`solve_warm`] call is a cold solve.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Warm solves that verified the stored basis and skipped the simplex.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Warm solves that fell back to the exact cold path.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// True before the first successful solve stores a basis.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty() && self.pattern.is_empty() && self.n == 0
-    }
-}
-
-/// Verify the stored basis against the new problem. On success the basis is
-/// the unique optimal basis and the returned solution equals what the cold
-/// solver would extract, bit for bit.
-fn warm_attempt(problem: &LpProblem, norm: &NormRows, cols: &[usize]) -> Option<LpSolution> {
-    let m = norm.m();
-    let n_real = norm.n_real();
-    if cols.len() != m || cols.iter().any(|&c| c >= n_real) {
-        return None;
-    }
-    let factored = FactoredBasis::factor(problem, norm, cols)?;
-
-    // Primal: B·x_B = b must be strictly positive (feasible + nondegenerate).
-    let mut x = norm.rhs.clone();
-    factored.solve(&mut x);
-    let b_scale = 1.0 + norm.rhs.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-    if x.iter().any(|&v| v <= WARM_MARGIN * b_scale) {
-        return None;
-    }
-
-    // Dual: Bᵀ·y = c_B, then every nonbasic reduced cost c_j − yᵀA_j must be
-    // strictly negative (optimal + no alternate optimum).
-    let mut y: Vec<f64> = cols
-        .iter()
-        .map(|&c| norm.objective_coeff(problem, c))
-        .collect();
-    factored.solve_transposed(&mut y);
-    let mut yta = vec![0.0; n_real];
-    for (r, &yr) in y.iter().enumerate() {
-        if yr != 0.0 {
-            norm.for_each_entry(problem, r, |col, val| {
-                if col < n_real {
-                    yta[col] += yr * val;
-                }
-            });
-        }
-    }
-    for (col, &yta_col) in yta.iter().enumerate() {
-        if cols.binary_search(&col).is_ok() {
-            continue;
-        }
-        let c_j = norm.objective_coeff(problem, col);
-        let reduced = c_j - yta_col;
-        if reduced >= -WARM_MARGIN * (1.0 + c_j.abs() + yta_col.abs()) {
-            return None;
-        }
-    }
-
-    // Certified: read the solution off the already-solved basis system using
-    // the canonical extraction rule (clamp at zero, objective recomputed
-    // from the structural values) — identical to the cold path's epilogue.
-    let mut values = vec![0.0; norm.n];
-    for (j, &col) in cols.iter().enumerate() {
-        if col < norm.n {
-            values[col] = x[j].max(0.0);
-        }
-    }
-    let objective = problem.objective_value(&values);
-    Some(LpSolution {
-        values,
-        objective,
-        pivots: 0,
-    })
-}
-
-/// Solve a linear program, seeding from (and updating) a stored basis.
-///
-/// Behaviourally identical to [`solve`] — same `Ok` bits, same errors — but
-/// when `basis` still verifies as the unique optimal basis of the new
-/// problem the simplex is skipped entirely. Pass a fresh [`LpBasis`] for a
-/// cold solve that primes the state.
-pub fn solve_warm(problem: &LpProblem, basis: &mut LpBasis) -> Result<LpSolution, LpError> {
-    let n = problem.num_vars();
-    if n == 0 {
-        return Ok(LpSolution {
-            values: Vec::new(),
-            objective: 0.0,
-            pivots: 0,
-        });
-    }
-    let norm = NormRows::build(problem);
-    let pattern = norm.pattern();
-    if basis.n == n && basis.pattern == pattern {
-        if let Some(sol) = warm_attempt(problem, &norm, &basis.cols) {
-            basis.hits += 1;
-            return Ok(sol);
-        }
-    }
-    basis.misses += 1;
-    let (sol, cols) = solve_cold(problem, &norm)?;
-    basis.n = n;
-    basis.pattern = pattern;
-    basis.cols = cols;
-    Ok(sol)
 }
 
 /// Solve a linear program with the two-phase primal simplex method.
@@ -586,12 +229,6 @@ pub fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
         });
     }
     let norm = NormRows::build(problem);
-    solve_cold(problem, &norm).map(|(sol, _)| sol)
-}
-
-/// The exact two-phase simplex. Returns the solution together with the
-/// sorted final basis columns (for storing in an [`LpBasis`]).
-fn solve_cold(problem: &LpProblem, norm: &NormRows) -> Result<(LpSolution, Vec<usize>), LpError> {
     let n = norm.n;
     let m = norm.m();
     let n_real = norm.n_real();
@@ -637,7 +274,6 @@ fn solve_cold(problem: &LpProblem, norm: &NormRows) -> Result<(LpSolution, Vec<u
         a,
         z: vec![0.0; cols],
         basis,
-        n_real,
         pivots: 0,
     };
 
@@ -704,28 +340,31 @@ fn solve_cold(problem: &LpProblem, norm: &NormRows) -> Result<(LpSolution, Vec<u
     }
     tab.optimize(n_real, max_pivots)?;
 
-    let mut final_basis = tab.basis.clone();
-    final_basis.sort_unstable();
-    // Canonical extraction from the original constraint data; fall back to
-    // tableau values when the basis matrix is singular (redundant rows).
-    let values = extract_values(problem, norm, &final_basis).unwrap_or_else(|| {
-        let mut values = vec![0.0; n];
-        for (r, &b) in tab.basis.iter().enumerate() {
-            if b < n {
-                values[b] = tab.a[r][rhs_col].max(0.0);
-            }
+    let mut values = vec![0.0; n];
+    for (r, &b) in tab.basis.iter().enumerate() {
+        if b < n {
+            values[b] = tab.a[r][rhs_col].max(0.0);
         }
-        values
-    });
+    }
     let objective = problem.objective_value(&values);
-    Ok((
-        LpSolution {
-            values,
-            objective,
-            pivots: tab.pivots,
-        },
-        final_basis,
-    ))
+    Ok(LpSolution {
+        values,
+        objective,
+        pivots: tab.pivots,
+    })
+}
+
+/// An empty solver basis: plans are a pure function of their inputs and
+/// carry no solver state. Kept because the benchmark's planner probe threads
+/// one through `joint_plan_warm`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LpBasis;
+
+impl LpBasis {
+    /// The (empty) basis.
+    pub fn new() -> Self {
+        Self
+    }
 }
 
 #[cfg(test)]
@@ -881,124 +520,5 @@ mod tests {
         let s = solve(&p).unwrap();
         assert_close(s.value(x), 1.5);
         assert_close(s.value(y), 0.5);
-    }
-
-    // --- warm-start tests -------------------------------------------------
-
-    /// A planner-shaped LP whose coefficients drift with `t`.
-    fn drifting_planner_lp(t: f64) -> LpProblem {
-        let r = [0.6 + 0.02 * t, 0.4 - 0.02 * t];
-        let qual = [[0.5, 0.8, 1.0], [0.2, 0.6 + 0.01 * t, 0.95]];
-        let cost = [1.0, 2.0, 4.0];
-        let budget = 2.3 + 0.05 * t;
-        let mut p = LpProblem::new();
-        let mut vars = [[None; 3]; 2];
-        for c in 0..2 {
-            for k in 0..3 {
-                vars[c][k] = Some(p.add_var(format!("a_{k}_{c}"), r[c] * qual[c][k]));
-            }
-        }
-        let budget_terms: Vec<_> = (0..2)
-            .flat_map(|c| (0..3).map(move |k| (c, k)))
-            .map(|(c, k)| (vars[c][k].unwrap(), r[c] * cost[k]))
-            .collect();
-        p.add_constraint(budget_terms, Relation::Le, budget);
-        for row in vars.iter().take(2) {
-            let terms: Vec<_> = row.iter().map(|v| (v.unwrap(), 1.0)).collect();
-            p.add_constraint(terms, Relation::Eq, 1.0);
-        }
-        p
-    }
-
-    #[test]
-    fn warm_solve_matches_cold_bitwise_on_drifting_sequence() {
-        let mut basis = LpBasis::new();
-        for i in 0..20 {
-            let p = drifting_planner_lp(i as f64 * 0.1);
-            let warm = solve_warm(&p, &mut basis).unwrap();
-            let cold = solve(&p).unwrap();
-            assert_eq!(warm.values.len(), cold.values.len());
-            for (w, c) in warm.values.iter().zip(&cold.values) {
-                assert_eq!(w.to_bits(), c.to_bits(), "value bits diverged");
-            }
-            assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        }
-        assert!(
-            basis.hits() > 0,
-            "slow drift should re-certify the stored basis ({} misses)",
-            basis.misses()
-        );
-    }
-
-    #[test]
-    fn warm_hit_skips_the_simplex() {
-        let p = drifting_planner_lp(0.0);
-        let mut basis = LpBasis::new();
-        let first = solve_warm(&p, &mut basis).unwrap();
-        assert!(first.pivots > 0, "cold prime runs the simplex");
-        assert_eq!(basis.misses(), 1);
-        let second = solve_warm(&p, &mut basis).unwrap();
-        assert_eq!(second.pivots, 0, "warm hit must not pivot");
-        assert_eq!(basis.hits(), 1);
-        for (a, b) in first.values.iter().zip(&second.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn shape_change_invalidates_the_basis() {
-        let mut basis = LpBasis::new();
-        let p = drifting_planner_lp(0.0);
-        solve_warm(&p, &mut basis).unwrap();
-        // Different variable count: must cold-solve, not mis-apply the basis.
-        let mut q = LpProblem::new();
-        let x = q.add_var("x", 3.0);
-        q.add_constraint(vec![(x, 1.0)], Relation::Le, 4.0);
-        let s = solve_warm(&q, &mut basis).unwrap();
-        assert_close(s.value(x), 4.0);
-        assert_eq!(basis.misses(), 2);
-        assert_eq!(basis.hits(), 0);
-    }
-
-    #[test]
-    fn degenerate_problems_fall_back_to_cold() {
-        // Alternate optima (two equally-priced configs): the strict margin
-        // must reject the warm basis every time rather than risk picking a
-        // different vertex than Bland's rule would.
-        let mut p = LpProblem::new();
-        let a = p.add_var("a", 1.0);
-        let b = p.add_var("b", 1.0);
-        p.add_constraint(vec![(a, 1.0), (b, 1.0)], Relation::Eq, 1.0);
-        let mut basis = LpBasis::new();
-        let s1 = solve_warm(&p, &mut basis).unwrap();
-        let s2 = solve_warm(&p, &mut basis).unwrap();
-        assert_eq!(basis.hits(), 0, "degenerate optimum must never warm-hit");
-        for (x, y) in s1.values.iter().zip(&s2.values) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_errors_match_cold_errors() {
-        let mut basis = LpBasis::new();
-        let mut p = LpProblem::new();
-        let x = p.add_var("x", 1.0);
-        p.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
-        p.add_constraint(vec![(x, 1.0)], Relation::Ge, 2.0);
-        assert_eq!(solve_warm(&p, &mut basis).unwrap_err(), LpError::Infeasible);
-
-        let mut q = LpProblem::new();
-        let x = q.add_var("x", 1.0);
-        let y = q.add_var("y", 0.0);
-        q.add_constraint(vec![(x, 1.0), (y, -1.0)], Relation::Le, 1.0);
-        assert_eq!(solve_warm(&q, &mut basis).unwrap_err(), LpError::Unbounded);
-    }
-
-    #[test]
-    fn empty_basis_reports_empty() {
-        assert!(LpBasis::new().is_empty());
-        let mut basis = LpBasis::new();
-        solve_warm(&drifting_planner_lp(0.0), &mut basis).unwrap();
-        assert!(!basis.is_empty());
     }
 }

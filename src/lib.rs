@@ -11,7 +11,7 @@
 //!   codec models, recordings).
 //! * [`sim`] — task graphs, placements, hardware, the Appendix-M simulator.
 //! * [`ml`] — KMeans, GMM, and the feed-forward forecaster, from scratch.
-//! * [`lp`] — two-phase simplex and knapsack solvers.
+//! * [`lp`] — the knob planner's threshold walk and its simplex test oracle.
 //! * [`exec`] — a thread-pool actor executor (the Ray stand-in).
 //! * [`workloads`] — COVID, MOT, MOSEI-HIGH/LONG and the EV example.
 //! * [`baselines`] — Static, Chameleon*, VideoStorm* and the Optimum oracle.

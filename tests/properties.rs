@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use vetl::lp::{knapsack_exact, knapsack_greedy, solve, KnapsackItem, LpProblem, Relation};
+use vetl::lp::{solve, LpProblem, Relation};
 use vetl::ml::{KMeans, KMeansConfig};
 use vetl::sim::{simulate, Backlog, CloudSpec, ClusterSpec, Placement, TaskGraph, TaskNode};
 use vetl::skyscraper::KnobPlan;
@@ -32,27 +32,6 @@ proptest! {
                     "solver {} beaten by probe {}", s.objective, obj);
             }
         }
-    }
-
-    /// Knapsack: greedy never beats exact DP (on-grid weights), and both
-    /// respect the capacity.
-    #[test]
-    fn knapsack_bounds(
-        items in prop::collection::vec((0.1f64..10.0, 1u32..20), 1..12),
-        cap_cells in 5u32..40,
-    ) {
-        // Integer weights on a 0.5 grid keep the DP exact.
-        let items: Vec<KnapsackItem> = items
-            .into_iter()
-            .map(|(value, w)| KnapsackItem { value, weight: w as f64 * 0.5 })
-            .collect();
-        let capacity = cap_cells as f64 * 0.5;
-        let g = knapsack_greedy(&items, capacity);
-        let e = knapsack_exact(&items, capacity, cap_cells as usize);
-        prop_assert!(g.weight <= capacity + 1e-9);
-        prop_assert!(e.weight <= capacity + 1e-9);
-        prop_assert!(e.value + 1e-9 >= g.value, "exact {} < greedy {}", e.value, g.value);
-        prop_assert!(g.value >= 0.5 * e.value - 1e-9, "greedy below 1/2-approx");
     }
 
     /// KMeans inertia never increases when k grows.
