@@ -11,6 +11,7 @@
 //! bitwise identical to in-process ingestion of the same schedule no
 //! matter how often it was pushed back.
 
+use std::io::BufReader;
 use std::time::{Duration, Instant};
 
 use skyscraper::obs::MetricsSnapshot;
@@ -114,7 +115,8 @@ pub struct StreamResult {
 
 /// A connected protocol client (one request in flight at a time).
 pub struct NetClient {
-    sock: Sock,
+    /// Buffered reads; writes bypass the buffer, one per frame.
+    sock: BufReader<Sock>,
     cfg: NetClientConfig,
     hello: ServerHello,
 }
@@ -142,7 +144,7 @@ impl NetClient {
         sock.set_write_timeout(cfg.write_timeout)
             .map_err(io("setup"))?;
         let mut client = NetClient {
-            sock,
+            sock: BufReader::new(sock),
             cfg,
             hello: ServerHello {
                 server: String::new(),
@@ -150,7 +152,7 @@ impl NetClient {
                 epoch: 0,
             },
         };
-        write_preamble(&mut client.sock)?;
+        write_preamble(client.sock.get_mut())?;
         let deadline = Instant::now() + client.cfg.reply_timeout;
         read_preamble(&mut client.sock, stall_ticks(&client.cfg), || {
             Instant::now() < deadline
@@ -182,7 +184,7 @@ impl NetClient {
 
     /// Send one request and read its reply.
     pub fn request(&mut self, req: &Request) -> Result<Reply, NetError> {
-        write_frame(&mut self.sock, &req.encode())?;
+        write_frame(self.sock.get_mut(), &req.encode())?;
         self.read_reply()
     }
 
@@ -241,7 +243,7 @@ impl NetClient {
         let mut stalls = 0u32;
         while off < segs.len() {
             let body = Request::encode_push(stream, off as u64, &segs[off..]);
-            write_frame(&mut self.sock, &body)?;
+            write_frame(self.sock.get_mut(), &body)?;
             stats.round_trips += 1;
             if stats.round_trips > 1 {
                 stats.refed_segments += (segs.len() - off) as u64;

@@ -312,26 +312,26 @@ pub(crate) fn read_frame(
     Ok(FrameIn::Frame(body))
 }
 
-/// Write one frame (`len · checksum · body`). Socket write timeouts
-/// surface as [`NetError::Timeout`]; a timed-out write leaves the stream
-/// torn, so the caller must drop the connection.
+/// Write one frame (`len · checksum · body`) in one `write` — header and
+/// body share a buffer, so a frame costs one syscall. Socket write
+/// timeouts surface as [`NetError::Timeout`]; a timed-out write leaves the
+/// stream torn, so the caller must drop the connection.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), NetError> {
     debug_assert!(!body.is_empty(), "protocol messages are never empty");
-    let mut head = [0u8; 12];
-    head[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    head[4..].copy_from_slice(&checksum(body).to_le_bytes());
-    for chunk in [&head[..], body] {
-        w.write_all(chunk).map_err(|e| {
-            if is_timeout(&e) {
-                NetError::Timeout { op: "frame write" }
-            } else {
-                NetError::Io {
-                    op: "frame write",
-                    detail: e.to_string(),
-                }
+    let mut frame = Vec::with_capacity(12 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&checksum(body).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame).map_err(|e| {
+        if is_timeout(&e) {
+            NetError::Timeout { op: "frame write" }
+        } else {
+            NetError::Io {
+                op: "frame write",
+                detail: e.to_string(),
             }
-        })?;
-    }
+        }
+    })?;
     w.flush().map_err(|e| NetError::Io {
         op: "frame flush",
         detail: e.to_string(),
@@ -363,24 +363,84 @@ pub(crate) fn read_preamble(
 mod tests {
     use super::*;
 
+    /// Counts the `write` calls a frame costs.
+    #[derive(Default)]
+    struct CountingWriter {
+        wire: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.wire.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Hands out at most `chunk` bytes per `read` and counts the calls.
+    struct ChunkedReader<'a> {
+        rest: &'a [u8],
+        chunk: usize,
+        reads: usize,
+    }
+
+    impl Read for ChunkedReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.chunk).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
     #[test]
     fn frames_round_trip_over_a_buffer() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello frame").unwrap();
-        write_frame(&mut wire, &[7u8; 1000]).unwrap();
-        let mut r = &wire[..];
-        match read_frame(&mut r, MAX_FRAME_BYTES, 4, || true).unwrap() {
-            FrameIn::Frame(b) => assert_eq!(b, b"hello frame"),
-            other => panic!("expected frame, got {other:?}"),
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello frame").unwrap();
+        assert_eq!(w.writes, 1, "header and body go out in one write");
+        write_frame(&mut w, &[7u8; 1000]).unwrap();
+        assert_eq!(w.writes, 2);
+        let wire = w.wire;
+
+        fn expect_both(mut r: impl Read) {
+            match read_frame(&mut r, MAX_FRAME_BYTES, 4, || true).unwrap() {
+                FrameIn::Frame(b) => assert_eq!(b, b"hello frame"),
+                other => panic!("expected frame, got {other:?}"),
+            }
+            match read_frame(&mut r, MAX_FRAME_BYTES, 4, || true).unwrap() {
+                FrameIn::Frame(b) => assert_eq!(b, vec![7u8; 1000]),
+                other => panic!("expected frame, got {other:?}"),
+            }
+            match read_frame(&mut r, MAX_FRAME_BYTES, 4, || true).unwrap() {
+                FrameIn::Eof => {}
+                other => panic!("expected clean EOF, got {other:?}"),
+            }
         }
-        match read_frame(&mut r, MAX_FRAME_BYTES, 4, || true).unwrap() {
-            FrameIn::Frame(b) => assert_eq!(b, vec![7u8; 1000]),
-            other => panic!("expected frame, got {other:?}"),
-        }
-        match read_frame(&mut r, MAX_FRAME_BYTES, 4, || true).unwrap() {
-            FrameIn::Eof => {}
-            other => panic!("expected clean EOF, got {other:?}"),
-        }
+        expect_both(&wire[..]);
+
+        // One byte per read: every partial fill is resumed, and the EOF
+        // after the last byte is still a clean boundary.
+        let mut trickle = ChunkedReader {
+            rest: &wire,
+            chunk: 1,
+            reads: 0,
+        };
+        expect_both(&mut trickle);
+        assert_eq!(trickle.reads, wire.len() + 1);
+
+        // Both frames in one read: the buffered reader serves the second
+        // frame without touching the source again.
+        let mut burst = ChunkedReader {
+            rest: &wire,
+            chunk: usize::MAX,
+            reads: 0,
+        };
+        expect_both(std::io::BufReader::new(&mut burst));
+        assert_eq!(burst.reads, 2, "one read for both frames, one for EOF");
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //!
 //! ## Threading
 //!
-//! The runtime is single-writer, so the server keeps **one** service loop
-//! and fans connections into it:
+//! The runtime is single-writer, so the server keeps it — with the
+//! connection table — behind **one lock**, and each connection's reader
+//! thread serves its own requests: decode a frame, apply it under the
+//! server lock (requests are serialized in lock order), take the
+//! connection's write lock, release the server lock, write the reply. A
+//! reply is written holding only its connection's write lock, so a client
+//! that stops reading stalls itself (up to `write_timeout`), never the
+//! others. Lock order is always server → connection. Listeners block in
+//! `accept`; `serve`'s own thread sleeps on a condvar until `Shutdown` (or
+//! [`ServerHandle::stop`]), wakes them with one self-connect, and drains.
 //!
-//! * one non-blocking **accept loop** per listener (TCP, Unix), polling a
-//!   stop flag;
-//! * per connection, a **reader thread** (decodes frames into typed
-//!   events) and a **writer thread** (serializes replies) — requests and
-//!   disconnects funnel through one mpsc channel into
-//! * the **service loop**, which owns the [`IngestService`] and therefore
-//!   the runtime. Backpressure is the runtime's own: a full mailbox
-//!   rejects the push typed and the client backs off — the server never
-//!   buffers segments itself, so a slow joint plan cannot hide unbounded
-//!   queues in the front-end.
+//! Backpressure is the runtime's own: a full mailbox rejects the push typed
+//! and the client backs off — the server never buffers segments itself, so
+//! a slow joint plan cannot hide unbounded queues in the front-end.
 //!
 //! ## Failure containment
 //!
@@ -23,19 +24,19 @@
 //! [`Reply::Error`] and a connection close; the runtime never observes
 //! the bytes. A disconnect mid-epoch auto-closes the connection's streams
 //! (in-band markers), so the next joint plan redistributes their cores
-//! and wallet share instead of waiting on a ghost. Shutdown drains
+//! and wallet share instead of waiting on a ghost. A panic while applying a
+//! request poisons the server lock and fails `serve`. Shutdown drains
 //! gracefully: the runtime settles every stream across the final barrier
-//! and each surviving connection receives the [`Reply::Outcome`] of every
-//! stream it opened.
+//! and each surviving connection receives, after its earlier replies, the
+//! [`Reply::Outcome`] of every stream it opened.
 
 use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::io::BufReader;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use skyscraper::obs::{CounterId, HistId};
@@ -103,13 +104,48 @@ pub struct ServeReport {
 /// in-band [`Request::Shutdown`] is the protocol-level equivalent.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 }
 
 impl ServerHandle {
     /// Ask the server to stop accepting work and drain.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.fire();
+    }
+}
+
+/// The stop flag plus the condvar `serve` sleeps on until it is set.
+#[derive(Debug, Default)]
+struct Stop {
+    set: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Stop {
+    fn fire(&self) {
+        *self.set.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.cv.notify_all();
+    }
+
+    fn is_set(&self) -> bool {
+        *self.set.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait(&self) {
+        let set = self.set.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(self.cv.wait_while(set, |set| !*set));
+    }
+}
+
+/// Fires the stop signal if the thread holding it unwinds, so `serve`
+/// wakes up and fails instead of waiting for a `Shutdown` nobody sends.
+struct StopOnPanic<'a>(&'a Stop);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fire();
+        }
     }
 }
 
@@ -118,18 +154,32 @@ pub struct NetServer {
     cfg: ServerConfig,
     tcp: Option<TcpListener>,
     unix: Option<UnixListener>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 }
 
-enum Event {
-    Connected { conn: u64, tx: Sender<Reply> },
-    Request { conn: u64, req: Request },
-    Malformed { conn: u64, detail: String },
-    Gone { conn: u64 },
+/// What every server thread shares.
+struct Shared<'s> {
+    cfg: ServerConfig,
+    stop: Arc<Stop>,
+    /// The server lock.
+    state: Mutex<State<'s>>,
 }
 
-struct ConnState {
-    tx: Sender<Reply>,
+/// Everything a request may touch.
+struct State<'s> {
+    /// Taken by the drain.
+    service: Option<IngestService<'s>>,
+    conns: HashMap<u64, Conn>,
+    /// The epoch at which the drain began; later requests are refused.
+    draining: Option<u64>,
+    connections: usize,
+    malformed: usize,
+    autoclosed: usize,
+}
+
+struct Conn {
+    /// The write half, locked for one reply at a time.
+    out: Arc<Mutex<Sock>>,
     /// Slots this connection opened (kept past close for outcome flush).
     streams: Vec<usize>,
 }
@@ -150,11 +200,7 @@ impl NetServer {
             }
         };
         let tcp = match &cfg.tcp {
-            Some(addr) => {
-                let l = TcpListener::bind(addr.as_str()).map_err(io_err("tcp bind"))?;
-                l.set_nonblocking(true).map_err(io_err("tcp bind"))?;
-                Some(l)
-            }
+            Some(addr) => Some(TcpListener::bind(addr.as_str()).map_err(io_err("tcp bind"))?),
             None => None,
         };
         let unix = match &cfg.unix {
@@ -162,9 +208,7 @@ impl NetServer {
                 if path.exists() {
                     std::fs::remove_file(path).map_err(io_err("unix bind"))?;
                 }
-                let l = UnixListener::bind(path).map_err(io_err("unix bind"))?;
-                l.set_nonblocking(true).map_err(io_err("unix bind"))?;
-                Some(l)
+                Some(UnixListener::bind(path).map_err(io_err("unix bind"))?)
             }
             None => None,
         };
@@ -172,7 +216,7 @@ impl NetServer {
             cfg,
             tcp,
             unix,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Arc::default(),
         })
     }
 
@@ -197,312 +241,288 @@ impl NetServer {
     /// [`ServerHandle::stop`] fires, then drain and return the joint
     /// outcome. Blocks the calling thread for the server's lifetime.
     pub fn serve(self, service: IngestService<'_>) -> Result<ServeReport, NetError> {
+        let tcp_addr = self.tcp_addr();
         let NetServer {
             cfg,
             tcp,
             unix,
             stop,
         } = self;
-        let (ev_tx, ev_rx) = channel::<Event>();
-        let next_conn = Arc::new(AtomicU64::new(1));
-        let (cfg, stop) = (&cfg, &*stop);
+        let sh = Shared {
+            cfg,
+            stop,
+            state: Mutex::new(State {
+                service: Some(service),
+                conns: HashMap::new(),
+                draining: None,
+                connections: 0,
+                malformed: 0,
+                autoclosed: 0,
+            }),
+        };
+        let sh = &sh;
         let result = std::thread::scope(|s| {
             if let Some(l) = &tcp {
-                let ev = ev_tx.clone();
-                let ids = next_conn.clone();
-                s.spawn(move || accept_loop(s, l, cfg, stop, ev, ids));
+                s.spawn(move || accept_loop(s, sh, || l.accept().map(|(c, _)| Sock::Tcp(c))));
             }
             if let Some(l) = &unix {
-                let ev = ev_tx.clone();
-                let ids = next_conn.clone();
-                s.spawn(move || accept_loop(s, l, cfg, stop, ev, ids));
+                s.spawn(move || accept_loop(s, sh, || l.accept().map(|(c, _)| Sock::Unix(c))));
             }
-            // The loop owns the only other ev_tx clone; drop ours so a
-            // fully stopped server cannot deadlock on its own channel.
-            drop(ev_tx);
-            service_loop(service, &cfg.server_name, ev_rx, stop)
+            sh.stop.wait();
+            wake_listeners(tcp_addr, sh.cfg.unix.as_deref());
+            drain(sh)
         });
-        if let Some(path) = &cfg.unix {
+        if let Some(path) = &sh.cfg.unix {
             let _ = std::fs::remove_file(path);
         }
         result
     }
 }
 
-/// Poll one listener, spawning reader/writer threads per accepted
-/// connection. Generic over the listener family via [`ListenerLike`]
-/// because `TcpListener` and `UnixListener` share no accept trait.
-fn accept_loop<'scope, 'env, L>(
-    s: &'scope std::thread::Scope<'scope, 'env>,
-    listener: &'scope L,
-    cfg: &'scope ServerConfig,
-    stop: &'scope AtomicBool,
-    ev_tx: Sender<Event>,
-    next_conn: Arc<AtomicU64>,
-) where
-    L: ListenerLike,
-{
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept_sock() {
+/// Accept connections on one listener until the stop signal, spawning a
+/// reader thread per connection.
+fn accept_loop<'scope, 's: 'scope>(
+    s: &'scope Scope<'scope, '_>,
+    sh: &'scope Shared<'s>,
+    accept: impl Fn() -> std::io::Result<Sock>,
+) {
+    while !sh.stop.is_set() {
+        match accept() {
+            // The wake-up connection, or a client that raced the stop.
+            Ok(_) if sh.stop.is_set() => break,
+            // Setup failures (timeouts, clone, preamble) drop the
+            // connection before it is registered.
             Ok(sock) => {
-                let conn = next_conn.fetch_add(1, Ordering::SeqCst);
-                if let Err(e) = setup_conn(s, sock, conn, cfg, stop, &ev_tx) {
-                    // Setup failures (timeout config, clone) drop the
-                    // connection before it ever reaches the service loop.
-                    let _ = e;
-                }
+                let _ = admit(s, sh, sock);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Transient accept failures (an aborted handshake, descriptor
+            // exhaustion) back off briefly instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
 
-/// The two listener families behind one accept shape.
-trait ListenerLike: Sync {
-    fn accept_sock(&self) -> std::io::Result<Sock>;
-}
-
-impl ListenerLike for TcpListener {
-    fn accept_sock(&self) -> std::io::Result<Sock> {
-        self.accept().map(|(s, _)| Sock::Tcp(s))
+/// Connect once to each listener so an accept loop blocked in `accept`
+/// sees the stop signal.
+fn wake_listeners(tcp: Option<SocketAddr>, unix: Option<&Path>) {
+    if let Some(mut addr) = tcp {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(addr);
+    }
+    if let Some(path) = unix {
+        let _ = UnixStream::connect(path);
     }
 }
 
-impl ListenerLike for UnixListener {
-    fn accept_sock(&self) -> std::io::Result<Sock> {
-        self.accept().map(|(s, _)| Sock::Unix(s))
-    }
-}
-
-fn setup_conn<'scope>(
-    s: &'scope std::thread::Scope<'scope, '_>,
+/// Send the preamble, register the connection — before its reader exists,
+/// so the table always knows a connection before its first request — and
+/// spawn its reader.
+fn admit<'scope, 's: 'scope>(
+    s: &'scope Scope<'scope, '_>,
+    sh: &'scope Shared<'s>,
     sock: Sock,
-    conn: u64,
-    cfg: &'scope ServerConfig,
-    stop: &'scope AtomicBool,
-    ev_tx: &Sender<Event>,
 ) -> std::io::Result<()> {
-    // Accepted sockets can inherit the listener's non-blocking mode on
-    // some platforms; reads must block up to the poll tick instead.
-    match &sock {
-        Sock::Tcp(t) => t.set_nonblocking(false)?,
-        Sock::Unix(u) => u.set_nonblocking(false)?,
-    }
-    sock.set_read_timeout(cfg.read_timeout)?;
-    sock.set_write_timeout(cfg.write_timeout)?;
-    let writer_sock = sock.try_clone()?;
-    let (reply_tx, reply_rx) = channel::<Reply>();
-    // Connected is enqueued before the reader thread exists, so the
-    // service loop always learns of the connection before its first
-    // request.
-    let _ = ev_tx.send(Event::Connected { conn, tx: reply_tx });
-    let ev = ev_tx.clone();
-    s.spawn(move || reader_thread(sock, conn, cfg, stop, ev));
-    s.spawn(move || writer_thread(writer_sock, reply_rx));
+    sock.set_read_timeout(sh.cfg.read_timeout)?;
+    sock.set_write_timeout(sh.cfg.write_timeout)?;
+    let mut out = sock.try_clone()?;
+    write_preamble(&mut out).map_err(std::io::Error::other)?;
+    let out = Arc::new(Mutex::new(out));
+    let conn = {
+        let Ok(mut st) = sh.state.lock() else {
+            return Ok(()); // a request panicked; serve is failing
+        };
+        st.connections += 1;
+        let conn = st.connections as u64;
+        st.conns.insert(
+            conn,
+            Conn {
+                out: out.clone(),
+                streams: Vec::new(),
+            },
+        );
+        conn
+    };
+    s.spawn(move || reader(sh, conn, sock, &out));
     Ok(())
 }
 
-/// Decode frames into events until EOF, a violation, a shutdown request,
-/// or the stop flag.
-fn reader_thread(
-    mut sock: Sock,
-    conn: u64,
-    cfg: &ServerConfig,
-    stop: &AtomicBool,
-    ev: Sender<Event>,
-) {
-    let keep = || !stop.load(Ordering::SeqCst);
-    if let Err(e) = read_preamble(&mut sock, cfg.stall_ticks, keep) {
-        let _ = match e {
-            NetError::Closed | NetError::Timeout { .. } => ev.send(Event::Gone { conn }),
-            other => ev.send(Event::Malformed {
-                conn,
-                detail: format!("preamble from {}: {other}", sock.peer_label()),
-            }),
+/// Why a connection's reader stopped.
+enum End {
+    /// EOF or a failed reply write: auto-close the connection's streams.
+    Gone,
+    /// A framing or protocol violation: answer `Error`, then as `Gone`.
+    Malformed(String),
+    /// Nothing left to do: idle at stop, after `Shutdown`, already hung
+    /// up, or the server lock is poisoned.
+    Quiet,
+}
+
+fn reader(sh: &Shared<'_>, conn: u64, sock: Sock, out: &Mutex<Sock>) {
+    let _fire = StopOnPanic(&sh.stop);
+    let violation = match converse(sh, conn, sock, out) {
+        End::Quiet => return,
+        End::Gone => None,
+        End::Malformed(detail) => Some(detail),
+    };
+    if let Ok(st) = sh.state.lock() {
+        hang_up(st, conn, out, violation);
+    }
+}
+
+/// Decode, apply and answer one connection's requests until it ends.
+fn converse(sh: &Shared<'_>, conn: u64, sock: Sock, out: &Mutex<Sock>) -> End {
+    let cfg = &sh.cfg;
+    let keep = || !sh.stop.is_set();
+    let mut rd = BufReader::new(sock);
+    if let Err(e) = read_preamble(&mut rd, cfg.stall_ticks, keep) {
+        return match e {
+            NetError::Closed | NetError::Timeout { .. } => End::Gone,
+            other => End::Malformed(format!(
+                "preamble from {}: {other}",
+                rd.get_ref().peer_label()
+            )),
         };
-        return;
     }
     loop {
-        match read_frame(&mut sock, cfg.max_frame_bytes, cfg.stall_ticks, keep) {
-            Ok(FrameIn::Eof) => {
-                let _ = ev.send(Event::Gone { conn });
-                return;
-            }
+        let req = match read_frame(&mut rd, cfg.max_frame_bytes, cfg.stall_ticks, keep) {
             Ok(FrameIn::Frame(body)) => match Request::decode(&body) {
-                Ok(req) => {
-                    let is_shutdown = matches!(req, Request::Shutdown);
-                    let _ = ev.send(Event::Request { conn, req });
-                    if is_shutdown {
-                        return;
-                    }
-                }
-                Err(detail) => {
-                    let _ = ev.send(Event::Malformed { conn, detail });
-                    return;
-                }
+                Ok(req) => req,
+                Err(detail) => return End::Malformed(detail),
             },
-            // Idle give-up only happens once the stop flag is set; the
-            // service loop is already draining, no event needed.
-            Err(NetError::Timeout { .. }) => return,
-            Err(e) => {
-                let _ = ev.send(Event::Malformed {
-                    conn,
-                    detail: e.to_string(),
-                });
-                return;
-            }
-        }
-    }
-}
-
-/// Serialize replies until the service loop drops the sending side, then
-/// shut the socket down (waking the reader if it is still blocked).
-fn writer_thread(mut sock: Sock, rx: Receiver<Reply>) {
-    let healthy = write_preamble(&mut sock).is_ok();
-    if healthy {
-        while let Ok(reply) = rx.recv() {
-            if write_frame(&mut sock, &reply.encode()).is_err() {
-                break;
-            }
-        }
-    }
-    sock.shutdown();
-}
-
-fn service_loop(
-    mut service: IngestService<'_>,
-    server_name: &str,
-    ev_rx: Receiver<Event>,
-    stop: &AtomicBool,
-) -> Result<ServeReport, NetError> {
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    let mut connections = 0usize;
-    let mut malformed = 0usize;
-    let mut autoclosed = 0usize;
-
-    while !stop.load(Ordering::SeqCst) {
-        let ev = match ev_rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(ev) => ev,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
+            Ok(FrameIn::Eof) => return End::Gone,
+            // Idle give-up only happens once the stop flag is set.
+            Err(NetError::Timeout { .. }) => return End::Quiet,
+            Err(e) => return End::Malformed(e.to_string()),
         };
-        match ev {
-            Event::Connected { conn, tx } => {
-                connections += 1;
-                conns.insert(
-                    conn,
-                    ConnState {
-                        tx,
-                        streams: Vec::new(),
-                    },
-                );
+        let shutdown = matches!(req, Request::Shutdown);
+        let Ok(mut st) = sh.state.lock() else {
+            return End::Quiet;
+        };
+        let reply = if let Some(epoch) = st.draining {
+            Reply::Rejected {
+                retryable: false,
+                reason: "server is draining".into(),
+                epoch,
+                accepted: 0,
             }
-            Event::Request { conn, req } => {
-                if let Request::Shutdown = req {
-                    if let Some(c) = conns.get(&conn) {
-                        let _ = c.tx.send(Reply::ShuttingDown);
-                    }
-                    stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-                if let Some(violation) =
-                    handle_request(&mut service, server_name, &mut conns, conn, req)
-                {
-                    malformed += 1;
-                    close_conn(
-                        &mut service,
-                        &mut conns,
-                        conn,
-                        Some(violation),
-                        &mut autoclosed,
-                    );
+        } else if shutdown {
+            st.draining = st.service.as_ref().map(|s| s.epoch() as u64);
+            sh.stop.fire();
+            Reply::ShuttingDown
+        } else {
+            let State { service, conns, .. } = &mut *st;
+            let (Some(service), Some(c)) = (service.as_mut(), conns.get_mut(&conn)) else {
+                return End::Quiet;
+            };
+            match handle_request(service, &cfg.server_name, &mut c.streams, req) {
+                Ok(reply) => reply,
+                Err(violation) => {
+                    hang_up(st, conn, out, Some(violation));
+                    return End::Quiet;
                 }
             }
-            Event::Malformed { conn, detail } => {
-                malformed += 1;
-                close_conn(
-                    &mut service,
-                    &mut conns,
-                    conn,
-                    Some(detail),
-                    &mut autoclosed,
-                );
-            }
-            Event::Gone { conn } => {
-                close_conn(&mut service, &mut conns, conn, None, &mut autoclosed);
-            }
+        };
+        // Take the write lock before releasing the server lock: a drain
+        // that starts in between writes its outcomes after this reply.
+        let mut w = write_half(out);
+        drop(st);
+        if write_frame(&mut *w, &reply.encode()).is_err() {
+            return End::Gone;
+        }
+        if shutdown {
+            return End::Quiet;
         }
     }
-    stop.store(true, Ordering::SeqCst);
+}
 
-    // Drain: answer everything still queued with a terminal rejection,
-    // settle the runtime, then flush each surviving connection's
-    // outcomes.
-    while let Ok(ev) = ev_rx.try_recv() {
-        match ev {
-            Event::Connected { conn, tx } => {
-                connections += 1;
-                conns.insert(
-                    conn,
-                    ConnState {
-                        tx,
-                        streams: Vec::new(),
-                    },
-                );
-            }
-            Event::Request { conn, .. } => {
-                if let Some(c) = conns.get(&conn) {
-                    let _ = c.tx.send(Reply::Rejected {
-                        retryable: false,
-                        reason: "server is draining".into(),
-                        epoch: service.epoch() as u64,
-                        accepted: 0,
-                    });
-                }
-            }
-            Event::Malformed { conn, .. } | Event::Gone { conn } => {
-                conns.remove(&conn);
-            }
-        }
-    }
+/// Stop serving: mark the drain, settle the runtime, then write each
+/// remaining connection its outcomes and close it.
+fn drain(sh: &Shared<'_>) -> Result<ServeReport, NetError> {
+    let (service, conns, connections, malformed, autoclosed_streams) = {
+        let mut st = sh.state.lock().map_err(|_| NetError::Server {
+            detail: "a request handler panicked".into(),
+        })?;
+        let service = st.service.take().expect("only serve drains, once");
+        st.draining.get_or_insert(service.epoch() as u64);
+        let conns = std::mem::take(&mut st.conns);
+        (service, conns, st.connections, st.malformed, st.autoclosed)
+    };
     let outcome = service.drain().map_err(|e| NetError::Server {
         detail: e.to_string(),
     })?;
     for c in conns.values() {
+        let mut w = write_half(&c.out);
         for &slot in &c.streams {
             if let Some(so) = outcome.streams.get(slot) {
-                let _ = c.tx.send(Reply::Outcome {
+                let frame = Reply::Outcome {
                     stream: slot as u64,
                     workload_id: so.workload_id.clone(),
                     outcome: so.outcome.clone(),
-                });
+                };
+                let _ = write_frame(&mut *w, &frame.encode());
             }
         }
+        w.shutdown();
     }
-    drop(conns); // closes every reply channel; writers flush and hang up
     Ok(ServeReport {
         outcome,
         connections,
         malformed,
-        autoclosed_streams: autoclosed,
+        autoclosed_streams,
     })
 }
 
-/// Apply one request. Returns `Some(violation)` when the connection broke
-/// protocol (unowned stream) and must be closed.
+/// Forget a connection that ended: auto-close the streams it opened at
+/// their in-band position (their leases return to the next joint plan;
+/// during the drain the runtime settles them instead), answer a violation
+/// with a typed `Error`, and close the socket.
+fn hang_up(
+    mut st: MutexGuard<'_, State<'_>>,
+    conn: u64,
+    out: &Mutex<Sock>,
+    violation: Option<String>,
+) {
+    let st_mut = &mut *st;
+    if violation.is_some() {
+        st_mut.malformed += 1;
+    }
+    let gone = st_mut.conns.remove(&conn);
+    if let (Some(c), Some(service), None) = (gone, st_mut.service.as_mut(), st_mut.draining) {
+        for slot in c.streams {
+            // Already closed by the client, or settled — nothing to do.
+            if service.close(StreamId::from_index(slot)).is_ok() {
+                st_mut.autoclosed += 1;
+            }
+        }
+    }
+    let mut w = write_half(out);
+    drop(st);
+    if let Some(detail) = violation {
+        let _ = write_frame(&mut *w, &Reply::Error { detail }.encode());
+    }
+    w.shutdown();
+}
+
+/// Lock a connection's write half. A frame is encoded before its one
+/// `write_all`, so a panic under this lock never leaves half a frame on
+/// the socket and a poisoned guard is still safe to write through.
+fn write_half(out: &Mutex<Sock>) -> MutexGuard<'_, Sock> {
+    out.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Apply one request (`Shutdown` is the caller's). `Err(violation)` when
+/// the connection broke protocol (unowned stream) and must be closed.
 fn handle_request(
     service: &mut IngestService<'_>,
     server_name: &str,
-    conns: &mut HashMap<u64, ConnState>,
-    conn: u64,
+    streams: &mut Vec<usize>,
     req: Request,
-) -> Option<String> {
-    let Some(c) = conns.get_mut(&conn) else {
-        return None; // connection already torn down; drop the request
-    };
+) -> Result<Reply, String> {
     // Request service time, booked only when the runtime records; the
     // clock starts before dispatch so the histogram covers the whole
     // handler, not just the reply construction.
@@ -520,7 +540,7 @@ fn handle_request(
             options,
         } => match service.open(&profile, name, options) {
             Ok(id) => {
-                c.streams.push(id.index());
+                streams.push(id.index());
                 Reply::StreamOpened {
                     stream: id.index() as u64,
                 }
@@ -533,8 +553,8 @@ fn handle_request(
             segs,
         } => {
             let slot = stream as usize;
-            if !c.streams.contains(&slot) {
-                return Some(format!(
+            if !streams.contains(&slot) {
+                return Err(format!(
                     "push to stream {stream} not owned by this connection"
                 ));
             }
@@ -556,8 +576,8 @@ fn handle_request(
         }
         Request::CloseStream { stream } => {
             let slot = stream as usize;
-            if !c.streams.contains(&slot) {
-                return Some(format!(
+            if !streams.contains(&slot) {
+                return Err(format!(
                     "close of stream {stream} not owned by this connection"
                 ));
             }
@@ -596,7 +616,7 @@ fn handle_request(
                 snapshot: service.metrics_snapshot(),
             }
         }
-        Request::Shutdown => unreachable!("handled by the service loop"),
+        Request::Shutdown => unreachable!("applied by the reader"),
     };
     if !booked {
         if let (Some(o), Some(t)) = (service.obs(), t_req) {
@@ -604,32 +624,5 @@ fn handle_request(
             o.registry.record(HistId::NetRequest, t.elapsed());
         }
     }
-    let _ = c.tx.send(reply);
-    None
-}
-
-/// Tear a connection down: send an optional protocol error, auto-close
-/// the streams it opened (their leases return to the next joint plan),
-/// and forget it.
-fn close_conn(
-    service: &mut IngestService<'_>,
-    conns: &mut HashMap<u64, ConnState>,
-    conn: u64,
-    violation: Option<String>,
-    autoclosed: &mut usize,
-) {
-    let Some(c) = conns.remove(&conn) else { return };
-    if let Some(detail) = violation {
-        let _ = c.tx.send(Reply::Error { detail });
-    }
-    for slot in c.streams {
-        match service.close(StreamId::from_index(slot)) {
-            Ok(()) => *autoclosed += 1,
-            // Already closed by the client, or settled — nothing to do.
-            Err(SkyError::StreamClosed { .. }) | Err(SkyError::UnknownStream { .. }) => {}
-            Err(_) => {}
-        }
-    }
-    // Dropping `c.tx` closes the reply channel; the writer thread flushes
-    // anything queued (including the Error above) and shuts the socket.
+    Ok(reply)
 }

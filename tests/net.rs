@@ -561,6 +561,80 @@ fn graceful_shutdown_drains_every_outcome() {
     assert_multi_outcomes_bitwise_equal("shutdown drain vs reference", &reference, &report.outcome);
 }
 
+#[test]
+fn a_client_that_stops_reading_stalls_only_itself() {
+    const SEGS: usize = 240; // crosses the epoch-1 barrier
+    const STUCK_FRAMES: usize = 4_000;
+    let streams = fixture();
+    let reference = inprocess_reference(&[SEGS], true);
+    let path = sock_path("slow-consumer");
+    // Default config: a stalled reply write waits out the 5 s write timeout.
+    let server = NetServer::bind(ServerConfig {
+        unix: Some(path.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+
+    let (report, ()) = serve_and_drive(server, service_for(1), move || {
+        // Thousands of requests whose replies are never read: the replies
+        // fill the socket buffer and the server's next reply write blocks.
+        let mut stuck = std::os::unix::net::UnixStream::connect(&path).expect("stuck connect");
+        let mut flood = proto::preamble().to_vec();
+        for _ in 0..STUCK_FRAMES {
+            let body = Request::GetStats.encode();
+            flood.extend_from_slice(&raw_frame(&body, checksum(&body)));
+        }
+        stuck.write_all(&flood).expect("flood");
+        // Margin only: the server fills the buffer within a few hundred
+        // replies, long before the client below finishes; the bound holds
+        // for a correct server either way.
+        std::thread::sleep(Duration::from_millis(200));
+
+        let t = Instant::now();
+        let ep = Endpoint::Unix(path.clone());
+        let mut c = NetClient::connect(&ep, NetClientConfig::default()).expect("connect");
+        let slot = c
+            .open_stream("cam0", "cam-00", IngestOptions::default())
+            .expect("open");
+        c.push_batch(slot, &streams[0].2[..SEGS]).expect("push");
+        c.close_stream(slot).expect("close");
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "a stalled reader must not hold up other connections: took {took:?}"
+        );
+
+        // Unstick: half-close, then read every reply up to the server's
+        // hang-up. Closing with replies unread would reset the connection,
+        // which the server may count as a violation.
+        stuck
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        stuck
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut replies = Vec::new();
+        stuck.read_to_end(&mut replies).expect("replies");
+        drop(stuck);
+        let (mut frames, mut at) = (0, proto::PREAMBLE_LEN);
+        while at + 12 <= replies.len() {
+            let len = u32::from_le_bytes(replies[at..at + 4].try_into().unwrap()) as usize;
+            at += 12 + len;
+            frames += 1;
+        }
+        assert_eq!(at, replies.len(), "replies end at a frame boundary");
+        assert_eq!(frames, STUCK_FRAMES, "every request was answered");
+
+        c.shutdown_server().expect("shutdown");
+        let outs = c.recv_outcomes(1).expect("outcomes");
+        assert_eq!(outs[0].stream, slot);
+    });
+    assert_eq!(report.connections, 2);
+    assert_eq!(report.malformed, 0, "a slow consumer is not a violation");
+    assert_eq!(report.autoclosed_streams, 0);
+    assert_multi_outcomes_bitwise_equal("beside a stuck client", &reference, &report.outcome);
+}
+
 // ---- Protocol fuzzing: mutated, torn, and mis-framed input. ----
 
 /// Hand-build one wire frame: `u32 len (LE) · u64 checksum (LE) · body`.
