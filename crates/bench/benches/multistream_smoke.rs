@@ -1,25 +1,24 @@
-//! Multi-stream server smoke bench (Appendix D).
+//! Multi-stream serving smoke bench (Appendix D).
 //!
 //! Serves two independently fitted paper workloads (COVID + MOT) through
-//! one `MultiStreamServer` — admission, round-robin pushes, joint LP
+//! one single-shard `IngestRuntime` — admission, round-robin pushes, joint LP
 //! replanning at a 30-minute cadence, shared cloud wallet — and appends a
 //! `multistream` section to `BENCH_offline.json` so the perf trajectory of
 //! the serving path is tracked across PRs alongside the offline phase.
 
 use std::time::Instant;
 
-use skyscraper::multistream::MultiStreamServer;
+use skyscraper::runtime::{IngestRuntime, RuntimeConfig};
 use skyscraper::IngestOptions;
 use vetl_bench::benchjson::{bench_json_path, jnum, jobj, merge_into};
 use vetl_bench::{data_scale, f2, pct, Table, SEED};
-use vetl_sim::CostModel;
 use vetl_workloads::{PaperWorkload, MACHINES};
 
 fn main() {
     let scale = data_scale();
     let machine = &MACHINES[2];
     println!(
-        "Multi-stream server smoke ({scale:?} scale, {})",
+        "Multi-stream serving smoke ({scale:?} scale, {})",
         machine.name
     );
 
@@ -34,12 +33,17 @@ fn main() {
     let online_b = &fitted_b.spec.online[..serve_segs];
 
     let shared_budget = 0.5;
-    let mut server = MultiStreamServer::new(shared_budget, CostModel::default(), SEED)
-        .with_replan_interval(1_800.0)
-        .with_total_cores(machine.vcpus as f64);
+    let mut rt = IngestRuntime::new(RuntimeConfig {
+        shards: 1,
+        shared_cloud_budget_usd: shared_budget,
+        seed: SEED,
+        replan_interval_secs: Some(1_800.0),
+        total_cores: Some(machine.vcpus as f64),
+        ..RuntimeConfig::default()
+    });
 
     let t0 = Instant::now();
-    let id_a = server
+    let id_a = rt
         .open_stream(
             "covid",
             &fitted_a.model,
@@ -47,7 +51,7 @@ fn main() {
             IngestOptions::default(),
         )
         .expect("admit covid");
-    let id_b = server
+    let id_b = rt
         .open_stream(
             "mot",
             &fitted_b.model,
@@ -55,11 +59,13 @@ fn main() {
             IngestOptions::default(),
         )
         .expect("admit mot");
-    let pushed = server
-        .push_round_robin(&[(id_a, online_a), (id_b, online_b)])
-        .expect("serve");
-    let joint_plans = server.joint_plans();
-    let out = server.finish();
+    for (seg_a, seg_b) in online_a.iter().zip(online_b) {
+        rt.push(id_a, seg_a).expect("serve covid");
+        rt.push(id_b, seg_b).expect("serve mot");
+    }
+    let pushed = 2 * serve_segs;
+    let joint_plans = rt.joint_plans();
+    let out = rt.finish().expect("finish");
     let wall_secs = t0.elapsed().as_secs_f64();
 
     let overflows: usize = out.streams.iter().map(|s| s.outcome.overflows).sum();

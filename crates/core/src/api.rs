@@ -144,9 +144,8 @@ impl<W: Workload> Skyscraper<W> {
 
     /// The configured ingestion options (ablation gates, budget, cost
     /// model, seed) — e.g. to admit this instance's fitted workload into a
-    /// [`crate::runtime::IngestRuntime`] or
-    /// [`crate::multistream::MultiStreamServer`] with the same settings a
-    /// plain [`Self::open_session`] would use.
+    /// [`crate::runtime::IngestRuntime`] with the same settings a plain
+    /// [`Self::open_session`] would use.
     pub fn ingest_options(&self) -> &IngestOptions {
         &self.options
     }

@@ -95,17 +95,8 @@ pub enum SkyError {
         /// The configured cap on admissions per dispatch interval.
         cap: usize,
     },
-    /// A push would advance a stream past the current planning epoch while
-    /// other streams have not finished theirs: the joint replanning barrier
-    /// cannot fire yet. Feed the lagging streams (or close them) first.
-    EpochBarrier {
-        /// The stream that ran ahead.
-        stream: usize,
-        /// Active streams that have not yet exhausted their epoch quota.
-        waiting_on: usize,
-    },
-    /// A per-stream push inside a multi-stream batch failed; carries the
-    /// offending stream so one bad stream does not abort the batch opaquely.
+    /// A stream's segment failed while the runtime dispatched an epoch
+    /// batch; carries the offending stream.
     PushFailed {
         /// The stream whose push failed.
         stream: usize,
@@ -210,8 +201,7 @@ impl SkyError {
     /// Whether the operation that produced this error can be retried
     /// verbatim once the engine makes progress. Retryable errors are the
     /// typed backpressure shapes — [`SkyError::Overloaded`] (a full
-    /// mailbox), [`SkyError::EpochBarrier`] (the joint replanning
-    /// barrier cannot fire yet), [`SkyError::StaleHit`] (recompute and
+    /// mailbox), [`SkyError::StaleHit`] (recompute and
     /// refresh), and [`SkyError::AdmissionDeferred`] (a flash-crowd open
     /// storm; re-open once ingest dispatches) — plus the wrapper variants
     /// ([`SkyError::BatchFailed`], [`SkyError::PushFailed`]) whose *cause*
@@ -226,7 +216,6 @@ impl SkyError {
     pub fn is_retryable(&self) -> bool {
         match self {
             SkyError::Overloaded { .. }
-            | SkyError::EpochBarrier { .. }
             | SkyError::StaleHit { .. }
             | SkyError::AdmissionDeferred { .. } => true,
             SkyError::BatchFailed { source, .. } | SkyError::PushFailed { source, .. } => {
@@ -302,11 +291,6 @@ impl std::fmt::Display for SkyError {
                 f,
                 "admission deferred: {pending} stream(s) already admitted since the last \
                  dispatch (flash-crowd cap {cap}); push segments or wait, then retry"
-            ),
-            SkyError::EpochBarrier { stream, waiting_on } => write!(
-                f,
-                "stream {stream} reached the epoch barrier; {waiting_on} stream(s) have not \
-                 finished their planning epoch yet"
             ),
             SkyError::PushFailed { stream, source } => {
                 write!(f, "push to stream {stream} failed: {source}")
@@ -398,11 +382,6 @@ mod tests {
         };
         assert!(e.to_string().contains("overloaded"));
         assert!(e.to_string().contains("900"));
-        let e = SkyError::EpochBarrier {
-            stream: 1,
-            waiting_on: 3,
-        };
-        assert!(e.to_string().contains("barrier"));
         let e = SkyError::PushFailed {
             stream: 5,
             source: Box::new(SkyError::NoPlanInstalled),
@@ -485,25 +464,17 @@ mod tests {
     /// retryable, every terminal error stays terminal even when wrapped.
     #[test]
     fn retryable_classification_table() {
-        let overloaded = SkyError::Overloaded {
-            stream: 0,
-            queued: 900,
-            capacity: 900,
-        };
-        let barrier = SkyError::EpochBarrier {
-            stream: 1,
-            waiting_on: 2,
-        };
-        let stale = SkyError::StaleHit {
-            age_epochs: 5,
-            max_age_epochs: 2,
-        };
-        let deferred = SkyError::AdmissionDeferred { pending: 4, cap: 4 };
         let retryable = [
-            overloaded.clone(),
-            barrier.clone(),
-            stale.clone(),
-            deferred.clone(),
+            SkyError::Overloaded {
+                stream: 0,
+                queued: 900,
+                capacity: 900,
+            },
+            SkyError::StaleHit {
+                age_epochs: 5,
+                max_age_epochs: 2,
+            },
+            SkyError::AdmissionDeferred { pending: 4, cap: 4 },
         ];
         for e in &retryable {
             assert!(e.is_retryable(), "{e} must be retryable");

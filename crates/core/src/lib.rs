@@ -32,15 +32,15 @@
 //!   fallback recursion, and the streaming **ingest session** that enforces
 //!   the throughput guarantee per pushed segment while tracking buffer,
 //!   backlog, and cloud spend (with checkpoint/resume).
-//! * [`multistream`] — the Appendix-D generalization: a
-//!   [`multistream::MultiStreamServer`] multiplexing many sessions through
-//!   the joint LP of Eqs. 7–9 with a shared cloud wallet, in epoch-lease
-//!   semantics (per-epoch pre-split wallet leases, quota-defined barriers).
-//! * [`runtime`] — the concurrent serving tier: a
+//! * [`multistream`] — the Appendix-D generalization's planning pieces:
+//!   the joint LP of Eqs. 7–9 over a shared cloud wallet, admission, and
+//!   the epoch-barrier splits.
+//! * [`runtime`] — the multi-stream serving engine: a
 //!   [`runtime::IngestRuntime`] sharding sessions across worker threads
-//!   with bounded ingress mailboxes, epoch-barrier joint replanning, and
-//!   mid-run stream churn — bitwise identical to the sequential server for
-//!   every shard count.
+//!   with bounded ingress mailboxes, epoch-lease semantics (per-epoch
+//!   pre-split wallet leases, quota-defined barriers, joint replanning),
+//!   and mid-run stream churn — bitwise identical for every shard count to
+//!   a small single-threaded reference of the same semantics.
 //! * [`dedupe`] — cross-stream content dedup: a bounded, epoch-aged
 //!   [`dedupe::DedupCache`] keyed by exact content signatures
 //!   ([`vetl_video::Segment::signature_words`]) short-circuits redundant
@@ -93,7 +93,7 @@ pub use dedupe::{DedupCache, DedupPolicy, DedupStats};
 pub use error::SkyError;
 pub use fingerprint::content_signature;
 pub use knob::{ConfigSpace, Knob, KnobConfig, KnobValue};
-pub use multistream::{JointPlanRecord, MultiOutcome, MultiStreamServer, StreamId, StreamOutcome};
+pub use multistream::{JointPlanRecord, MultiOutcome, StreamId, StreamOutcome};
 pub use obs::{
     Clock, FlightRecorder, ManualClock, MetricsRegistry, MetricsSnapshot, MonotonicClock, Obs,
     TraceEvent,

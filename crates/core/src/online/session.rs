@@ -14,7 +14,7 @@
 //! task graph on the Appendix-M simulator, and settles the buffer/backlog
 //! and cloud-credit accounting. Every planned interval it re-runs the knob
 //! planner on a fresh forecast (unless the session is driven by an external
-//! planner, e.g. the [`crate::multistream::MultiStreamServer`] joint LP).
+//! planner, e.g. the [`crate::runtime::IngestRuntime`]'s joint LP).
 //!
 //! The session exposes the feature gates the evaluation needs: buffering
 //! and cloud bursting can be disabled independently (§5.4 ablation), the
@@ -1075,7 +1075,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     /// re-plans or refills its own wallet. The caller must
     /// [`install_plan`](Self::install_plan) before the first push and manage
     /// credits via [`set_cloud_credits`](Self::set_cloud_credits) — this is
-    /// the contract the [`crate::multistream::MultiStreamServer`] uses.
+    /// the contract the [`crate::runtime::IngestRuntime`] uses.
     pub fn external(model: &'a FittedModel, workload: &'a W, options: IngestOptions) -> Self {
         Self::build(
             model,
@@ -1277,11 +1277,6 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     /// Segments processed so far.
     pub fn segments_pushed(&self) -> usize {
         self.state.seg_index
-    }
-
-    /// Stream seconds covered so far.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.state.seg_index as f64 * self.model.seg_len
     }
 
     /// Observed category history (seeded with the offline tail).

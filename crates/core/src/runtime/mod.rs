@@ -12,16 +12,17 @@
 //! refills the wallet, and broadcasts the new plans. Streams can
 //! [`open_stream`](IngestRuntime::open_stream) and
 //! [`close_stream`](IngestRuntime::close_stream) mid-run: admissions are
-//! re-validated against the post-admission fair share (typed
-//! [`SkyError::UnderProvisioned`] rejection) and a closed stream's core
-//! share and lease are redistributed by the next joint plan.
+//! re-validated against the post-admission fair share and the fleet's one
+//! segment length (typed rejections) and a closed stream's core share and
+//! lease are redistributed by the next joint plan.
 //!
 //! ## Determinism
 //!
 //! The acceptance bar mirrors the parallel offline phase: **for any shard
-//! count, per-stream outcomes are bitwise identical** to driving the
-//! sequential [`MultiStreamServer`] round-robin over the same segments with
-//! the same churn points (property-tested in `tests/runtime.rs`). Three
+//! count, per-stream outcomes are bitwise identical** to the single-threaded
+//! reference of the same semantics (`testkit::reference`, which processes
+//! every push on arrival) over the same segments with the same churn points
+//! (property-tested in `tests/runtime.rs` and `tests/dedup.rs`). Three
 //! design choices make that possible:
 //!
 //! 1. **Pre-split wallet leases.** Within an epoch each stream spends only
@@ -34,9 +35,8 @@
 //!    fires when every active stream has exhausted its quota (or closed).
 //! 3. **In-band churn.** Close markers travel through the mailbox, pinning
 //!    the closure to an exact position in the stream's segment sequence;
-//!    per-stream RNGs are seeded from the slot index with the same stride
-//!    the sequential server uses and are carried across the shard boundary
-//!    inside the session state.
+//!    per-stream RNGs are seeded from the slot index and are carried across
+//!    the shard boundary inside the session state.
 //!
 //! Epoch batches are dispatched to the shards through
 //! [`ActorPool::shard_map_mut`], whose static item→shard assignment keeps
@@ -70,9 +70,6 @@ use crate::testkit::chaos::{FailurePlan, CRASH_PAYLOAD};
 use crate::workload::Workload;
 use mailbox::{Envelope, Mailbox};
 use wal::{SlotSnapshot, Wal, WalRecord};
-
-#[allow(unused_imports)] // doc links
-use crate::multistream::MultiStreamServer;
 
 /// Path of the write-ahead journal inside a durability directory (exposed
 /// for the chaos helpers and for operational tooling).
@@ -186,8 +183,7 @@ pub struct RuntimeConfig {
     pub shared_cloud_budget_usd: f64,
     /// Cost conversions for the joint LP's budget term.
     pub cost_model: CostModel,
-    /// Master seed; per-stream RNG seeds are derived per slot exactly as
-    /// the sequential server derives them.
+    /// Master seed; per-stream RNG seeds are derived from it per slot.
     pub seed: u64,
     /// Joint replanning cadence override (defaults to the smallest planned
     /// interval among admitted models).
@@ -397,8 +393,8 @@ pub struct IngestRuntime<'a> {
     joint_plans: usize,
     last_joint_plan: Option<JointPlanRecord>,
     /// A full epoch completed; the barrier (settle + joint replan) fires
-    /// lazily when the next batch dispatches — exactly when the sequential
-    /// server would replan on the first push of the next epoch.
+    /// lazily when the next batch dispatches — exactly when processing on
+    /// arrival would replan, on the first push of the next epoch.
     barrier_pending: bool,
     epoch: usize,
     processed_total: usize,
@@ -540,7 +536,7 @@ impl<'a> IngestRuntime<'a> {
     }
 
     /// Unspent cloud credits across the active streams' current leases.
-    pub fn wallet_left(&self) -> f64 {
+    fn wallet_left(&self) -> f64 {
         if self.active().next().is_none() {
             return self.shared_budget_usd;
         }
@@ -557,12 +553,17 @@ impl<'a> IngestRuntime<'a> {
         })
     }
 
-    /// Admit a stream mid-run: deliver everything already queued (so the
+    /// Admit a stream mid-run: check the candidate against the streams that
+    /// will still be active, deliver everything already queued (so the
     /// admission lands at a deterministic point in every stream's segment
-    /// sequence), validate the post-admission fair share, then cross an
-    /// epoch barrier that includes the newcomer. Identical admission checks
-    /// and rejection semantics as
-    /// [`MultiStreamServer::open_stream`].
+    /// sequence), then cross an epoch barrier that includes the newcomer.
+    ///
+    /// Rejects with [`SkyError::InvalidInput`] when the candidate's segment
+    /// length differs from the active streams', and with
+    /// [`SkyError::UnderProvisioned`] when any stream's cheapest
+    /// configuration could no longer run in real time on the post-admission
+    /// fair share. A rejected admission leaves neither state nor journal
+    /// behind.
     pub fn open_stream(
         &mut self,
         workload_id: impl Into<String>,
@@ -592,25 +593,28 @@ impl<'a> IngestRuntime<'a> {
                 });
             }
         }
-        // The pre-admission flush delivers partial epochs and moves the
-        // epoch structure even when the admission is then rejected — it
-        // must be journaled unconditionally, *before* it runs.
-        let caller_options = options.clone();
-        self.wal_append(&WalRecord::Flush)?;
-        self.flush()?;
-
+        // Streams with a close queued settle in the flush below and do not
+        // share the post-admission cluster, so the check (which the flush
+        // cannot change) runs first and a rejection stays traceless.
         let total = self
             .total_cores
             .unwrap_or_else(|| model.hardware.cluster.throughput());
-        let active_models: Vec<&FittedModel> = self
+        let staying: Vec<&FittedModel> = self
             .active()
+            .filter(|s| !s.mailbox.close_queued())
             .filter_map(|s| s.session.as_ref())
             .map(|s| s.model())
             .collect();
-        if let Err(e) = admission_check(&active_models, model, total) {
+        if let Err(e) = admission_check(&staying, model, total) {
             self.obs_admission_rejected(CounterId::AdmissionsRejected, &workload_id, &e);
             return Err(e);
         }
+        // The pre-admission flush delivers partial epochs and moves the
+        // epoch structure even when the barrier below then fails — it must
+        // be journaled unconditionally, *before* it runs.
+        let caller_options = options.clone();
+        self.wal_append(&WalRecord::Flush)?;
+        self.flush()?;
         let prev_total = self.total_cores;
         self.total_cores = Some(total);
 
@@ -619,9 +623,8 @@ impl<'a> IngestRuntime<'a> {
         options.seed = self
             .seed
             .wrapping_add((slot as u64).wrapping_mul(STREAM_SEED_STRIDE));
-        // The runtime's dedup policy wins (same forcing as the sequential
-        // server): every session must consult the shared cache under the
-        // same policy or the scope check trips.
+        // The runtime's dedup policy wins: every session must consult the
+        // shared cache under the same policy or the scope check trips.
         options.dedup = self.dedup.as_ref().map(|c| *c.policy());
         let mut session = IngestSession::external(model, workload, options);
         if let Some(o) = &self.obs {
@@ -733,8 +736,7 @@ impl<'a> IngestRuntime<'a> {
         accepted: &mut usize,
     ) -> Result<(), SkyError> {
         self.check_poisoned()?;
-        // The finiteness check (shared with the sequential server) also
-        // keeps the journal replayable: a segment that could only fail
+        // The finiteness check also keeps the journal replayable: a segment that could only fail
         // *during* dispatch must be rejected before it is journaled.
         validate_segment(&rest[0])?;
         let a = self.writable(stream)?;
@@ -979,7 +981,6 @@ impl<'a> IngestRuntime<'a> {
 
     /// Deliver all remaining queued input and settle every stream — active
     /// and closed alike — into the joint outcome, in admission order.
-    /// Identical in shape to [`MultiStreamServer::finish`].
     pub fn finish(mut self) -> Result<MultiOutcome, SkyError> {
         self.check_poisoned()?;
         // Release every reorder gate first: held segments are accepted
@@ -1156,10 +1157,11 @@ impl<'a> IngestRuntime<'a> {
 
     /// Re-bound every active mailbox after a dispatch. A stream that
     /// finished its epoch may queue the *next* epoch's full quota (the lazy
-    /// barrier will reset it); a stream left mid-epoch (a flush before a
-    /// rejected admission) may only queue the **remainder** of its current
+    /// barrier will reset it); a stream left mid-epoch (a flush before an
+    /// admission whose barrier failed, or a journaled `Flush` replayed) may
+    /// only queue the **remainder** of its current
     /// quota — otherwise the next dispatch would overshoot the epoch and
-    /// fire the joint replan later than the sequential server does.
+    /// fire the joint replan later than processing on arrival would.
     fn refresh_mailbox_caps(&mut self) {
         let models: Vec<&FittedModel> = self
             .active()
@@ -1192,8 +1194,7 @@ impl<'a> IngestRuntime<'a> {
 
     /// Cross the epoch barrier: settle the leases, re-run the joint LP over
     /// all active streams (plus the admission candidate), install the
-    /// plans, and re-split shares and leases — the same commit the
-    /// sequential server performs, computed through the shared
+    /// plans, and re-split shares and leases, computed through the shared
     /// [`plan_epoch`].
     fn barrier(&mut self, candidate: Option<Box<RtStream<'a>>>) -> Result<(), SkyError> {
         let obs = self.obs.clone();
@@ -1283,9 +1284,8 @@ impl<'a> IngestRuntime<'a> {
         }
         let t_broadcast = obs.as_deref().map(|_| Instant::now());
         // Merge the settled epoch's pending dedup entries in stable slot
-        // order — the same single-threaded commit the sequential server
-        // performs, so the cache contents after a barrier are independent
-        // of shard count and thread timing.
+        // order, single-threaded, so the cache contents after a barrier are
+        // independent of shard count and thread timing.
         if let Some(cache) = self.dedup.as_mut() {
             cache.begin_epoch();
             for slot in &mut self.slots {

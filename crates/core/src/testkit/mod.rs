@@ -1,4 +1,6 @@
-//! A miniature workload used by the engine's own unit tests.
+//! Test support: a miniature workload, bitwise outcome comparators, fault
+//! injection ([`chaos`]) and the single-threaded [`reference`] the runtime
+//! is differentially tested against.
 //!
 //! `ToyWorkload` is a two-knob detect-and-track pipeline with the same
 //! *shape* as the paper's workloads (cheap configs fail on hard content,
@@ -7,6 +9,7 @@
 //! workloads live in `vetl-workloads`.
 
 pub mod chaos;
+pub mod reference;
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -1,11 +1,11 @@
-//! Multi-stream ingestion (Appendix D): two cameras behind one server.
+//! Multi-stream ingestion (Appendix D): two cameras behind one runtime.
 //!
 //! ```text
 //! cargo run --release --example multi_stream
 //! ```
 //!
-//! Each stream is fitted independently offline; online, a
-//! [`MultiStreamServer`] multiplexes both streams: admission gives every
+//! Each stream is fitted independently offline; online, an
+//! [`IngestRuntime`] multiplexes both streams: admission gives every
 //! stream a fair share of the cluster, a single **joint LP** (Eqs. 7–9)
 //! re-allocates the shared budget across both streams' content categories
 //! at the planning cadence, and the two knob switchers draw cloud credits
@@ -73,22 +73,27 @@ fn main() {
         .segments()
         .to_vec();
 
-    let mut server = MultiStreamServer::new(1.0, CostModel::default(), 77);
-    let id_a = server
+    let mut rt = IngestRuntime::new(RuntimeConfig {
+        shared_cloud_budget_usd: 1.0,
+        seed: 77,
+        ..RuntimeConfig::default()
+    });
+    let id_a = rt
         .open_stream("A (MOT)", &model_a, &workload_a, IngestOptions::default())
         .expect("admit A");
-    let id_b = server
+    let id_b = rt
         .open_stream("B (COVID)", &model_b, &workload_b, IngestOptions::default())
         .expect("admit B");
-    server
-        .push_round_robin(&[(id_a, online_a.as_slice()), (id_b, online_b.as_slice())])
-        .expect("serve both streams");
+    for (seg_a, seg_b) in online_a.iter().zip(&online_b) {
+        rt.push(id_a, seg_a).expect("serve A");
+        rt.push(id_b, seg_b).expect("serve B");
+    }
     println!(
         "  joint LP ran {} times; wallet left ${:.3}",
-        server.joint_plans(),
-        server.wallet_left()
+        rt.joint_plans(),
+        rt.metrics().wallet_left_usd
     );
-    let out = server.finish();
+    let out = rt.finish().expect("finish");
 
     for s in &out.streams {
         println!(

@@ -9,8 +9,7 @@
 //! mailboxes, and the joint LP (Eqs. 7–9) re-runs at every epoch barrier
 //! against pre-split wallet leases. Mid-run, a fourth camera joins and an
 //! early one leaves — the next joint plan redistributes the released cores
-//! and wallet share. Outcomes are bitwise identical to the sequential
-//! `MultiStreamServer` for every shard count.
+//! and wallet share. Outcomes are bitwise identical for every shard count.
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;

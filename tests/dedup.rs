@@ -6,8 +6,9 @@
 //!   reporting cache hits on redundant fleets (the win is skipped compute,
 //!   not changed results).
 //! * **Tolerant mode is shard-count independent**: near-duplicate hits
-//!   change spend and quality, but identically so for the sequential
-//!   server and the sharded runtime at every shard count.
+//!   change spend and quality, but identically so for the single-threaded
+//!   reference (`testkit::reference`) and the sharded runtime at every
+//!   shard count.
 //! * **Warm-cache crash recovery replays hit/miss decisions bitwise**,
 //!   cross-checked against the journaled `DedupHit` counters.
 //!
@@ -19,6 +20,7 @@ use std::sync::OnceLock;
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
+use vetl::skyscraper::testkit::reference::Reference;
 use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
 use vetl::skyscraper::{FittedModel, MultiOutcome};
 use vetl::workloads::co_located_fleet;
@@ -104,37 +106,34 @@ fn fixture() -> &'static Fleet {
     })
 }
 
-/// Both implementations behind one driving interface.
-trait Driver {
+/// The runtime and its reference behind one driving interface.
+trait Engine {
     fn open(&mut self, id: String) -> StreamId;
     fn push(&mut self, id: StreamId, seg: &Segment);
     fn close(&mut self, id: StreamId);
     fn done(self: Box<Self>) -> MultiOutcome;
 }
 
-struct Sequential<'a>(MultiStreamServer<'a>);
-
-impl Driver for Sequential<'_> {
+impl Engine for Reference<'_> {
     fn open(&mut self, id: String) -> StreamId {
         let f = fixture();
-        self.0
-            .open_stream(id, &f.model, &f.workload, IngestOptions::default())
+        Reference::open(self, id, &f.model, &f.workload, IngestOptions::default())
             .expect("admission")
     }
     fn push(&mut self, id: StreamId, seg: &Segment) {
-        self.0.push(id, seg).expect("sequential push");
+        Reference::push(self, id, seg).expect("reference push");
     }
     fn close(&mut self, id: StreamId) {
-        self.0.close_stream(id).expect("sequential close");
+        Reference::close(self, id);
     }
     fn done(self: Box<Self>) -> MultiOutcome {
-        self.0.finish()
+        self.finish()
     }
 }
 
 struct Sharded<'a>(IngestRuntime<'a>);
 
-impl Driver for Sharded<'_> {
+impl Engine for Sharded<'_> {
     fn open(&mut self, id: String) -> StreamId {
         let f = fixture();
         self.0
@@ -162,7 +161,7 @@ fn stagger() -> Vec<usize> {
 /// then every open camera pushes one segment per round; exhausted cameras
 /// close.
 fn run_fleet(
-    mut driver: Box<dyn Driver + '_>,
+    mut engine: Box<dyn Engine + '_>,
     cams: &[Vec<Segment>],
     opens: &[usize],
 ) -> MultiOutcome {
@@ -172,7 +171,7 @@ fn run_fleet(
     for round in 0..rounds {
         for (k, _) in cams.iter().enumerate() {
             if opens[k] == round {
-                let id = driver.open(format!("cam-{k}"));
+                let id = engine.open(format!("cam-{k}"));
                 handles.push((id, 0, true));
             }
         }
@@ -181,25 +180,15 @@ fn run_fleet(
                 continue;
             }
             if h.1 < FEED {
-                driver.push(h.0, &cams[k][h.1]);
+                engine.push(h.0, &cams[k][h.1]);
                 h.1 += 1;
             } else {
-                driver.close(h.0);
+                engine.close(h.0);
                 h.2 = false;
             }
         }
     }
-    driver.done()
-}
-
-fn server(policy: Option<DedupPolicy>) -> Box<dyn Driver + 'static> {
-    let mut s = MultiStreamServer::new(SHARED_BUDGET_USD, CostModel::default(), SEED)
-        .with_replan_interval(REPLAN_SECS)
-        .with_total_cores(TOTAL_CORES);
-    if let Some(p) = policy {
-        s = s.with_dedup(p);
-    }
-    Box::new(Sequential(s))
+    engine.done()
 }
 
 fn runtime_config(
@@ -222,7 +211,11 @@ fn runtime_config(
     }
 }
 
-fn runtime(policy: Option<DedupPolicy>, shards: usize) -> Box<dyn Driver + 'static> {
+fn reference(policy: Option<DedupPolicy>) -> Box<dyn Engine + 'static> {
+    Box::new(Reference::new(&runtime_config(policy, 1, None)))
+}
+
+fn runtime(policy: Option<DedupPolicy>, shards: usize) -> Box<dyn Engine + 'static> {
     Box::new(Sharded(IngestRuntime::new(runtime_config(
         policy, shards, None,
     ))))
@@ -248,27 +241,27 @@ fn total_dedup(out: &MultiOutcome) -> DedupStats {
 #[test]
 fn exact_mode_is_bitwise_identical_to_disabled_for_any_shard_count() {
     let f = fixture();
-    // Reference: dedup disabled, sequential server.
-    let disabled = run_fleet(server(None), &f.identical, &stagger());
+    // Dedup disabled, in the reference.
+    let disabled = run_fleet(reference(None), &f.identical, &stagger());
     assert_eq!(total_dedup(&disabled).lookups, 0, "disabled never consults");
 
-    // Exact mode must reproduce it bit for bit — server and runtime alike —
+    // Exact mode must reproduce it bit for bit — reference and runtime alike —
     // while actually hitting (the staggered identical fleet guarantees
     // cross-stream duplicates against published entries).
     let policy = Some(DedupPolicy::exact());
-    let mut exact_seq = run_fleet(server(policy), &f.identical, &stagger());
-    let seq_stats = total_dedup(&exact_seq);
-    assert_eq!(seq_stats.lookups, (CAMERAS * FEED) as u64);
+    let mut exact_ref = run_fleet(reference(policy), &f.identical, &stagger());
+    let ref_stats = total_dedup(&exact_ref);
+    assert_eq!(ref_stats.lookups, (CAMERAS * FEED) as u64);
     assert!(
-        seq_stats.hits() > 0,
-        "identical fleet must hit: {seq_stats:?}"
+        ref_stats.hits() > 0,
+        "identical fleet must hit: {ref_stats:?}"
     );
     assert_eq!(
-        seq_stats.spend_saved_usd, 0.0,
+        ref_stats.spend_saved_usd, 0.0,
         "exact mode charges cached spend bitwise, it saves work not dollars"
     );
-    strip_dedup_counters(&mut exact_seq);
-    assert_multi_outcomes_bitwise_equal("exact == disabled (sequential)", &disabled, &exact_seq);
+    strip_dedup_counters(&mut exact_ref);
+    assert_multi_outcomes_bitwise_equal("exact == disabled (reference)", &disabled, &exact_ref);
 
     for shards in shard_counts() {
         let mut out = run_fleet(runtime(policy, shards), &f.identical, &stagger());
@@ -283,7 +276,7 @@ fn exact_mode_is_bitwise_identical_to_disabled_for_any_shard_count() {
 
     // The property holds on *any* schedule, including the jittered fleet
     // where exact signatures rarely collide.
-    let disabled_j = run_fleet(server(None), &f.jittered, &stagger());
+    let disabled_j = run_fleet(reference(None), &f.jittered, &stagger());
     let mut exact_j = run_fleet(runtime(policy, 2), &f.jittered, &stagger());
     strip_dedup_counters(&mut exact_j);
     assert_multi_outcomes_bitwise_equal("exact == disabled (jittered)", &disabled_j, &exact_j);
@@ -293,8 +286,8 @@ fn exact_mode_is_bitwise_identical_to_disabled_for_any_shard_count() {
 fn tolerant_mode_is_shard_count_independent_and_saves_spend() {
     let f = fixture();
     let policy = Some(DedupPolicy::near(0.02));
-    let reference = run_fleet(server(policy), &f.jittered, &stagger());
-    let stats = total_dedup(&reference);
+    let expected = run_fleet(reference(policy), &f.jittered, &stagger());
+    let stats = total_dedup(&expected);
     assert!(
         stats.hits_full > 0,
         "near-duplicate fleet must take full hits: {stats:?}"
@@ -310,8 +303,23 @@ fn tolerant_mode_is_shard_count_independent_and_saves_spend() {
     for shards in shard_counts() {
         let out = run_fleet(runtime(policy, shards), &f.jittered, &stagger());
         assert_multi_outcomes_bitwise_equal(
-            &format!("tolerant server == runtime (shards={shards})"),
-            &reference,
+            &format!("tolerant reference == runtime (shards={shards})"),
+            &expected,
+            &out,
+        );
+    }
+
+    // Cameras 0 and 1 publish the same buckets with different results in
+    // the same epochs and camera 2 reads them an epoch later: which result
+    // it gets is decided by the slot-order publish alone.
+    let opens = [0, 0, QUOTA];
+    let expected = run_fleet(reference(policy), &f.jittered, &opens);
+    assert!(total_dedup(&expected).hits_full > 0);
+    for shards in shard_counts() {
+        let out = run_fleet(runtime(policy, shards), &f.jittered, &opens);
+        assert_multi_outcomes_bitwise_equal(
+            &format!("same-epoch publishers (shards={shards})"),
+            &expected,
             &out,
         );
     }
@@ -331,7 +339,7 @@ fn stale_entries_are_recomputed_not_served() {
         max_age_epochs: 1,
         ..DedupPolicy::exact()
     });
-    let stale_run = run_fleet(server(policy), &f.identical, &opens);
+    let stale_run = run_fleet(reference(policy), &f.identical, &opens);
     let stats = total_dedup(&stale_run);
     assert!(
         stats.stale > 0,
@@ -346,7 +354,7 @@ fn stale_entries_are_recomputed_not_served() {
     for shards in shard_counts() {
         let rt_out = run_fleet(runtime(policy, shards), &f.identical, &opens);
         assert_multi_outcomes_bitwise_equal(
-            &format!("staleness server == runtime (shards={shards})"),
+            &format!("staleness reference == runtime (shards={shards})"),
             &stale_run,
             &rt_out,
         );
@@ -354,7 +362,7 @@ fn stale_entries_are_recomputed_not_served() {
 
     // Exact mode stays bitwise invisible even when staleness forces
     // recomputes — the recompute produces the same bits the hit would have.
-    let disabled = run_fleet(server(None), &f.identical, &opens);
+    let disabled = run_fleet(reference(None), &f.identical, &opens);
     let mut stripped = stale_run;
     strip_dedup_counters(&mut stripped);
     assert_multi_outcomes_bitwise_equal("stale recompute == disabled", &disabled, &stripped);

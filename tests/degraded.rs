@@ -304,29 +304,6 @@ fn flash_crowd_admissions_defer_typed_and_recover_after_dispatch() {
 }
 
 #[test]
-fn multistream_server_defers_flash_crowds_the_same_way() {
-    let (w, m, segs) = fixture();
-    let mut server = MultiStreamServer::new(SHARED_BUDGET_USD, CostModel::default(), SEED)
-        .with_replan_interval(REPLAN_SECS)
-        .with_total_cores(TOTAL_CORES)
-        .with_admission_cap(2);
-    let a = server
-        .open_stream("cam-0", m, w, IngestOptions::default())
-        .expect("first open");
-    server
-        .open_stream("cam-1", m, w, IngestOptions::default())
-        .expect("second open");
-    match server.open_stream("cam-2", m, w, IngestOptions::default()) {
-        Err(SkyError::AdmissionDeferred { pending, cap }) => assert_eq!((pending, cap), (2, 2)),
-        other => panic!("third open must defer, got {other:?}"),
-    }
-    server.push(a, &segs[0]).expect("progress");
-    server
-        .open_stream("cam-2", m, w, IngestOptions::default())
-        .expect("retry after progress succeeds");
-}
-
-#[test]
 fn dropped_segments_force_the_watermark_without_deadlock() {
     let (w, m, segs) = fixture();
     let cond = NetConditions {

@@ -2,17 +2,20 @@
 //!
 //! The acceptance bar of the `skyscraper::runtime` subsystem: for **any
 //! shard count**, the runtime's per-stream outcomes are **bitwise
-//! identical** to driving the sequential `MultiStreamServer` round-robin
-//! over the same segments with the same churn points — including mid-run
-//! `open_stream` / `close_stream`. The shard count used as "max" can be
-//! overridden with `VETL_SHARDS` (CI runs the property at two distinct
-//! counts).
+//! identical** to driving the single-threaded `testkit::reference` (which
+//! processes every push on arrival) round-robin over the same segments with
+//! the same churn points — including mid-run `open_stream` /
+//! `close_stream`. The shard count used as "max" can be overridden with
+//! `VETL_SHARDS` (CI runs the property at two distinct counts). The
+//! Appendix-D guarantees themselves — cadence replans, the shared wallet,
+//! no overflows under admissions mid-serve — are checked on the runtime.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
+use vetl::skyscraper::testkit::reference::Reference;
 use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
 use vetl::skyscraper::{FittedModel, MultiOutcome};
 use vetl::workloads::NetConditions;
@@ -32,10 +35,13 @@ fn max_shards() -> usize {
         .unwrap_or(4)
 }
 
+/// One fitted stream and its online video.
+type Fixture = (ToyWorkload, FittedModel, Vec<Segment>);
+
 /// Independently fitted streams over distinct content processes, plus
 /// 2 hours of online video each.
-fn fixture() -> &'static Vec<(ToyWorkload, FittedModel, Vec<Segment>)> {
-    static FIXTURE: OnceLock<Vec<(ToyWorkload, FittedModel, Vec<Segment>)>> = OnceLock::new();
+fn fixture() -> &'static Vec<Fixture> {
+    static FIXTURE: OnceLock<Vec<Fixture>> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         (0..4u64)
             .map(|v| {
@@ -62,7 +68,8 @@ fn fixture() -> &'static Vec<(ToyWorkload, FittedModel, Vec<Segment>)> {
 }
 
 /// One churn schedule: which fixture streams open at which round, which
-/// handles close at which round, and how many rounds to drive in total.
+/// handles close at which round, how many rounds to drive in total, and the
+/// configuration and per-stream options both engines run it under.
 #[derive(Debug, Clone)]
 struct Schedule {
     /// `(round, fixture_index, push_limit)` — admit the stream at `round`
@@ -71,42 +78,72 @@ struct Schedule {
     /// `(round, handle_index)` — close the handle-`index`-th opened stream.
     closes: Vec<(usize, usize)>,
     rounds: usize,
+    /// The shard count is set per run.
+    cfg: RuntimeConfig,
+    options: IngestOptions,
 }
 
-/// Both implementations behind one driving interface.
-trait Driver<'a> {
-    fn open(&mut self, id: String, model: &'a FittedModel, workload: &'a ToyWorkload) -> StreamId;
+/// A schedule under the default configuration and options.
+fn schedule(
+    opens: Vec<(usize, usize, usize)>,
+    closes: Vec<(usize, usize)>,
+    rounds: usize,
+) -> Schedule {
+    Schedule {
+        opens,
+        closes,
+        rounds,
+        cfg: config(1, TOTAL_CORES),
+        options: IngestOptions::default(),
+    }
+}
+
+/// The runtime and its reference behind one driving interface.
+trait Engine<'a> {
+    fn open(
+        &mut self,
+        id: String,
+        model: &'a FittedModel,
+        workload: &'a ToyWorkload,
+        options: IngestOptions,
+    ) -> Result<StreamId, SkyError>;
     fn push(&mut self, id: StreamId, seg: &Segment);
     fn close(&mut self, id: StreamId);
     fn done(self) -> MultiOutcome;
 }
 
-struct Sequential<'a>(MultiStreamServer<'a>);
-
-impl<'a> Driver<'a> for Sequential<'a> {
-    fn open(&mut self, id: String, model: &'a FittedModel, workload: &'a ToyWorkload) -> StreamId {
-        self.0
-            .open_stream(id, model, workload, IngestOptions::default())
-            .expect("admission")
+impl<'a> Engine<'a> for Reference<'a> {
+    fn open(
+        &mut self,
+        id: String,
+        model: &'a FittedModel,
+        workload: &'a ToyWorkload,
+        options: IngestOptions,
+    ) -> Result<StreamId, SkyError> {
+        Reference::open(self, id, model, workload, options)
     }
     fn push(&mut self, id: StreamId, seg: &Segment) {
-        self.0.push(id, seg).expect("sequential push");
+        Reference::push(self, id, seg).expect("reference push");
     }
     fn close(&mut self, id: StreamId) {
-        self.0.close_stream(id).expect("sequential close");
+        Reference::close(self, id);
     }
     fn done(self) -> MultiOutcome {
-        self.0.finish()
+        self.finish()
     }
 }
 
 struct Sharded<'a>(IngestRuntime<'a>);
 
-impl<'a> Driver<'a> for Sharded<'a> {
-    fn open(&mut self, id: String, model: &'a FittedModel, workload: &'a ToyWorkload) -> StreamId {
-        self.0
-            .open_stream(id, model, workload, IngestOptions::default())
-            .expect("admission")
+impl<'a> Engine<'a> for Sharded<'a> {
+    fn open(
+        &mut self,
+        id: String,
+        model: &'a FittedModel,
+        workload: &'a ToyWorkload,
+        options: IngestOptions,
+    ) -> Result<StreamId, SkyError> {
+        self.0.open_stream(id, model, workload, options)
     }
     fn push(&mut self, id: StreamId, seg: &Segment) {
         // Balanced round-robin driving never overloads a mailbox: the
@@ -124,7 +161,7 @@ impl<'a> Driver<'a> for Sharded<'a> {
 /// Drive a schedule: apply churn ops at round boundaries, then push one
 /// segment of every open stream per round (round-robin). Streams whose
 /// segments run out are closed so they stop gating the epoch barrier.
-fn run_schedule<'a, D: Driver<'a>>(mut driver: D, schedule: &Schedule) -> MultiOutcome {
+fn run_schedule<'a, D: Engine<'a>>(mut engine: D, schedule: &Schedule) -> MultiOutcome {
     let streams = fixture();
     // (handle, segments, cursor, open)
     let mut handles: Vec<(StreamId, &'a [Segment], usize, bool)> = Vec::new();
@@ -132,13 +169,15 @@ fn run_schedule<'a, D: Driver<'a>>(mut driver: D, schedule: &Schedule) -> MultiO
         for &(at, fixture_idx, limit) in &schedule.opens {
             if at == round {
                 let (w, m, segs) = &streams[fixture_idx];
-                let id = driver.open(format!("cam-{fixture_idx}"), m, w);
+                let id = engine
+                    .open(format!("cam-{fixture_idx}"), m, w, schedule.options.clone())
+                    .expect("admission");
                 handles.push((id, &segs[..limit.min(segs.len())], 0, true));
             }
         }
         for &(at, handle_idx) in &schedule.closes {
             if at == round && handles[handle_idx].3 {
-                driver.close(handles[handle_idx].0);
+                engine.close(handles[handle_idx].0);
                 handles[handle_idx].3 = false;
             }
         }
@@ -148,40 +187,46 @@ fn run_schedule<'a, D: Driver<'a>>(mut driver: D, schedule: &Schedule) -> MultiO
             }
             match h.1.get(h.2) {
                 Some(seg) => {
-                    driver.push(h.0, seg);
+                    engine.push(h.0, seg);
                     h.2 += 1;
                 }
                 None => {
-                    driver.close(h.0);
+                    engine.close(h.0);
                     h.3 = false;
                 }
             }
         }
     }
-    driver.done()
+    engine.done()
 }
 
-fn sequential(schedule: &Schedule) -> MultiOutcome {
-    let server = MultiStreamServer::new(SHARED_BUDGET_USD, CostModel::default(), SEED)
-        .with_replan_interval(REPLAN_SECS)
-        .with_total_cores(TOTAL_CORES);
-    run_schedule(Sequential(server), schedule)
+/// The configuration the runtime and the reference run under.
+fn config(shards: usize, total_cores: f64) -> RuntimeConfig {
+    RuntimeConfig {
+        shards,
+        shared_cloud_budget_usd: SHARED_BUDGET_USD,
+        seed: SEED,
+        replan_interval_secs: Some(REPLAN_SECS),
+        total_cores: Some(total_cores),
+        ..RuntimeConfig::default()
+    }
+}
+
+fn reference_run(schedule: &Schedule) -> MultiOutcome {
+    run_schedule(Reference::new(&schedule.cfg), schedule)
 }
 
 fn sharded(schedule: &Schedule, shards: usize) -> MultiOutcome {
     let rt = IngestRuntime::new(RuntimeConfig {
         shards,
-        shared_cloud_budget_usd: SHARED_BUDGET_USD,
-        seed: SEED,
-        replan_interval_secs: Some(REPLAN_SECS),
-        total_cores: Some(TOTAL_CORES),
-        ..RuntimeConfig::default()
+        ..schedule.cfg.clone()
     });
     run_schedule(Sharded(rt), schedule)
 }
 
-fn assert_runtime_matches_server(schedule: &Schedule) {
-    let reference = sequential(schedule);
+/// The reference's outcome, after checking every shard count against it.
+fn assert_runtime_matches_reference(schedule: &Schedule) -> MultiOutcome {
+    let reference = reference_run(schedule);
     let mut counts = vec![1, 2, max_shards()];
     counts.sort_unstable();
     counts.dedup();
@@ -189,56 +234,79 @@ fn assert_runtime_matches_server(schedule: &Schedule) {
         let out = sharded(schedule, shards);
         assert_multi_outcomes_bitwise_equal(&format!("shards={shards}"), &reference, &out);
     }
+    reference
 }
 
 #[test]
-fn runtime_matches_server_bitwise_without_churn() {
-    let schedule = Schedule {
-        opens: vec![(0, 0, 2 * QUOTA + 450), (0, 1, 2 * QUOTA + 450)],
-        closes: vec![],
-        rounds: 2 * QUOTA + 450,
-    };
-    assert_runtime_matches_server(&schedule);
+fn runtime_matches_reference_bitwise_without_churn() {
+    let rounds = 2 * QUOTA + 450;
+    assert_runtime_matches_reference(&schedule(
+        vec![(0, 0, rounds), (0, 1, rounds)],
+        vec![],
+        rounds,
+    ));
 }
 
-#[test]
-fn runtime_matches_server_bitwise_under_mid_run_churn() {
-    // Stream 2 joins mid-epoch, stream 1 closes mid-epoch, stream 0 runs
-    // out before the end: admissions, closures, and exhaustion all land
-    // inside epochs, not just on their boundaries.
-    let schedule = Schedule {
-        opens: vec![
+/// Stream 2 joins mid-epoch, stream 1 closes mid-epoch, stream 0 runs out
+/// before the end: admissions, closures, and exhaustion all land inside
+/// epochs, not just on their boundaries.
+fn mid_run_churn() -> Schedule {
+    schedule(
+        vec![
             (0, 0, 2 * QUOTA),
             (0, 1, 2 * QUOTA + 300),
             (QUOTA + 137, 2, QUOTA + 400),
         ],
-        closes: vec![(QUOTA + 600, 1)],
-        rounds: 2 * QUOTA + 500,
-    };
-    assert_runtime_matches_server(&schedule);
+        vec![(QUOTA + 600, 1)],
+        2 * QUOTA + 500,
+    )
 }
 
 #[test]
-fn runtime_matches_server_bitwise_with_boundary_churn() {
+fn runtime_matches_reference_bitwise_under_mid_run_churn() {
+    assert_runtime_matches_reference(&mid_run_churn());
+}
+
+#[test]
+fn runtime_matches_reference_bitwise_when_the_wallet_binds() {
+    // Unbuffered sessions on 4 cores burst to the cloud whenever on-prem
+    // work falls behind, and a $0.0005 wallet runs dry inside epochs: each
+    // lease, its refill and its split over the active streams reach the
+    // outcome bits, and the churn changes the split twice.
+    let reference = assert_runtime_matches_reference(&Schedule {
+        cfg: RuntimeConfig {
+            shared_cloud_budget_usd: 0.0005,
+            ..config(1, 4.0)
+        },
+        options: IngestOptions {
+            enable_buffering: false,
+            ..IngestOptions::default()
+        },
+        ..mid_run_churn()
+    });
+    assert!(reference.cloud_usd > 0.0, "the wallet must be drawn on");
+}
+
+#[test]
+fn runtime_matches_reference_bitwise_with_boundary_churn() {
     // Churn exactly at epoch boundaries: a closure right when a full epoch
     // completed (the close marker leads the next epoch's mailbox) and an
     // admission at the same kind of point.
-    let schedule = Schedule {
-        opens: vec![
+    assert_runtime_matches_reference(&schedule(
+        vec![
             (0, 0, 3 * QUOTA),
             (0, 1, 3 * QUOTA),
             (2 * QUOTA, 3, QUOTA / 2),
         ],
-        closes: vec![(QUOTA, 1)],
-        rounds: 3 * QUOTA,
-    };
-    assert_runtime_matches_server(&schedule);
+        vec![(QUOTA, 1)],
+        3 * QUOTA,
+    ));
 }
 
 /// Randomized churn property: for any admission round, closure round and
-/// stream lengths, every shard count reproduces the sequential server bit
-/// for bit. Hand-rolled sampling (4 deterministic cases) because each case
-/// drives three full serving runs.
+/// stream lengths, every shard count reproduces the reference bit for bit.
+/// Hand-rolled sampling (4 deterministic cases) because each case drives
+/// three full serving runs.
 #[test]
 fn runtime_is_bitwise_equal_for_any_shard_count() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -249,12 +317,12 @@ fn runtime_is_bitwise_equal_for_any_shard_count() {
         let len_a = rng.gen_range((QUOTA + 10)..(2 * QUOTA + 300));
         let len_c = rng.gen_range(200..(QUOTA + 200));
         let shards = rng.gen_range(2..6);
-        let schedule = Schedule {
-            opens: vec![(0, 0, len_a), (0, 1, 2 * QUOTA + 200), (open_at, 2, len_c)],
-            closes: vec![(close_at, 0)],
-            rounds: 2 * QUOTA + 200,
-        };
-        let reference = sequential(&schedule);
+        let schedule = schedule(
+            vec![(0, 0, len_a), (0, 1, 2 * QUOTA + 200), (open_at, 2, len_c)],
+            vec![(close_at, 0)],
+            2 * QUOTA + 200,
+        );
+        let reference = reference_run(&schedule);
         let one = sharded(&schedule, 1);
         let many = sharded(&schedule, shards);
         assert_multi_outcomes_bitwise_equal(&format!("case {case}: shards=1"), &reference, &one);
@@ -266,96 +334,287 @@ fn runtime_is_bitwise_equal_for_any_shard_count() {
     }
 }
 
-#[test]
-fn rejected_mid_epoch_admission_preserves_bitwise_equivalence() {
-    // Regression: a rejected admission flushes queued input (a *partial*
-    // epoch) before validating. The runtime must then bound the mailboxes
-    // to the remaining epoch quota, or the next dispatch overshoots the
-    // epoch and replans later than the sequential server.
+/// Admit two streams, then drive them round-robin; at round 137 (mid-epoch)
+/// a third admission must be rejected: ⌊2/3⌋ = 0 cores at 2 total.
+fn drive_with_rejected_admission<D: Engine<'static>>(mut engine: D) -> MultiOutcome {
     let streams = fixture();
-    let tight_cores = 2.0; // 2 streams fit; a third gets ⌊2/3⌋ = 0 cores
-    let drive = |rt: &mut dyn FnMut(usize, &Segment)| {
-        // returns nothing; rt is fed (stream v, segment) round-robin
-        for i in 0..2 * QUOTA + 137 {
-            for (v, (_, _, segs)) in streams.iter().take(2).enumerate() {
-                rt(v, &segs[i]);
-            }
-        }
-    };
-
-    // Sequential reference.
-    let mut server = MultiStreamServer::new(SHARED_BUDGET_USD, CostModel::default(), SEED)
-        .with_replan_interval(REPLAN_SECS)
-        .with_total_cores(tight_cores);
-    let ids: Vec<StreamId> = streams
+    let ids: Vec<StreamId> = streams[..2]
         .iter()
-        .take(2)
         .enumerate()
         .map(|(v, (w, m, _))| {
-            server
-                .open_stream(format!("cam-{v}"), m, w, IngestOptions::default())
+            let options = IngestOptions::default();
+            engine
+                .open(format!("cam-{v}"), m, w, options)
                 .expect("admission")
         })
         .collect();
-    let mut rejected = 0;
-    let mut round = 0usize;
-    drive(&mut |v, seg| {
-        if v == 0 && round == 137 {
-            // Mid-epoch: this admission must be rejected on both sides.
+    for i in 0..2 * QUOTA + 137 {
+        if i == 137 {
             let (w2, m2, _) = &streams[2];
-            let err = server
-                .open_stream("late", m2, w2, IngestOptions::default())
+            let options = IngestOptions::default();
+            let err = engine
+                .open("late".to_string(), m2, w2, options)
                 .unwrap_err();
             assert!(matches!(err, SkyError::UnderProvisioned { .. }));
-            rejected += 1;
         }
-        server.push(ids[v], seg).expect("push");
-        if v == 1 {
-            round += 1;
+        for (v, id) in ids.iter().enumerate() {
+            engine.push(*id, &streams[v].2[i]);
         }
-    });
-    assert_eq!(rejected, 1);
-    let reference = server.finish();
+    }
+    engine.done()
+}
 
+#[test]
+fn rejected_mid_epoch_admission_preserves_bitwise_equivalence() {
+    // A rejected admission leaves no trace: the runtime checks before it
+    // flushes queued input or journals anything, so a mid-epoch rejection
+    // cannot move its epoch boundaries away from the reference's.
+    let tight_cores = 2.0;
+    let reference = drive_with_rejected_admission(Reference::new(&config(1, tight_cores)));
     for shards in [1, 3] {
-        let mut rt = IngestRuntime::new(RuntimeConfig {
-            shards,
-            shared_cloud_budget_usd: SHARED_BUDGET_USD,
-            seed: SEED,
-            replan_interval_secs: Some(REPLAN_SECS),
-            total_cores: Some(tight_cores),
-            ..RuntimeConfig::default()
-        });
-        let ids: Vec<StreamId> = streams
-            .iter()
-            .take(2)
-            .enumerate()
-            .map(|(v, (w, m, _))| {
-                rt.open_stream(format!("cam-{v}"), m, w, IngestOptions::default())
-                    .expect("admission")
-            })
-            .collect();
-        let mut round = 0usize;
-        drive(&mut |v, seg| {
-            if v == 0 && round == 137 {
-                let (w2, m2, _) = &streams[2];
-                let err = rt
-                    .open_stream("late", m2, w2, IngestOptions::default())
-                    .unwrap_err();
-                assert!(matches!(err, SkyError::UnderProvisioned { .. }));
-            }
-            rt.push(ids[v], seg).expect("push");
-            if v == 1 {
-                round += 1;
-            }
-        });
-        let out = rt.finish().expect("finish");
+        let rt = IngestRuntime::new(config(shards, tight_cores));
+        let out = drive_with_rejected_admission(Sharded(rt));
         assert_multi_outcomes_bitwise_equal(
             &format!("rejected admission, shards={shards}"),
             &reference,
             &out,
         );
     }
+}
+
+#[test]
+fn mixed_segment_lengths_are_rejected_at_admission_without_a_trace() {
+    // The Eq. 8 budget is per segment round, which only one segment length
+    // defines: a stream whose segments differ from the fleet's is refused
+    // typed, before any state or journal change.
+    let streams = fixture();
+    let (w0, m0, s0) = &streams[0];
+    let (w1, m1, _) = &streams[1];
+    let mut long = m1.clone();
+    long.seg_len = 7.0;
+    let dir = tmp_dir("mixed-seg-len");
+    let mut rt = batch_runtime(2, Some(&dir));
+    let a = rt
+        .open_stream("a", m0, w0, IngestOptions::default())
+        .expect("admission");
+    rt.push(a, &s0[0]).expect("push");
+    let wal = vetl::skyscraper::runtime::wal_path(&dir);
+    let journaled = std::fs::read(&wal).expect("journal");
+    let (epoch, plans) = (rt.epoch(), rt.joint_plans());
+
+    let err = rt
+        .open_stream("b", &long, w1, IngestOptions::default())
+        .unwrap_err();
+    assert!(matches!(err, SkyError::InvalidInput { .. }), "{err}");
+    assert!(!err.is_retryable(), "a segment length never changes");
+    assert_eq!(rt.n_streams(), 1);
+    assert_eq!((rt.epoch(), rt.joint_plans()), (epoch, plans));
+    assert_eq!(rt.metrics().streams[a.index()].lag_segments, 1);
+    assert_eq!(std::fs::read(&wal).expect("journal"), journaled);
+
+    // The reference rejects it the same way, and a matching stream is
+    // still admitted.
+    let mut reference = Reference::new(&config(1, TOTAL_CORES));
+    reference
+        .open("a", m0, w0, IngestOptions::default())
+        .expect("admission");
+    let err = reference
+        .open("b", &long, w1, IngestOptions::default())
+        .unwrap_err();
+    assert!(matches!(err, SkyError::InvalidInput { .. }), "{err}");
+    rt.open_stream("b", m1, w1, IngestOptions::default())
+        .expect("same segment length admits");
+    drop(rt);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- Appendix D on the runtime: cadence, shared wallet, admissions. ----
+
+/// Admit every stream of `streams` into `rt`.
+fn open_all(rt: &mut IngestRuntime<'static>, streams: &'static [Fixture]) -> Vec<StreamId> {
+    streams
+        .iter()
+        .enumerate()
+        .map(|(v, (w, m, _))| {
+            rt.open_stream(format!("cam-{v}"), m, w, IngestOptions::default())
+                .expect("admission")
+        })
+        .collect()
+}
+
+/// Push `segs[v][range]` to stream `ids[v]`, round-robin.
+fn push_round_robin(
+    rt: &mut IngestRuntime<'_>,
+    ids: &[StreamId],
+    segs: &[&[Segment]],
+    range: std::ops::Range<usize>,
+) {
+    for i in range {
+        for (id, s) in ids.iter().zip(segs) {
+            rt.push(*id, &s[i]).expect("push");
+        }
+    }
+}
+
+fn all_segments(streams: &[Fixture]) -> Vec<&[Segment]> {
+    streams.iter().map(|(_, _, s)| s.as_slice()).collect()
+}
+
+#[test]
+fn four_streams_replan_jointly_from_a_shared_wallet() {
+    let streams = fixture();
+    let mut rt = IngestRuntime::new(config(2, TOTAL_CORES));
+    let ids = open_all(&mut rt, streams);
+    assert_eq!(rt.n_streams(), streams.len());
+    // Every admission reruns the joint LP.
+    assert_eq!(rt.joint_plans(), streams.len());
+
+    let serve = streams[0].2.len();
+    push_round_robin(&mut rt, &ids, &all_segments(streams), 0..serve);
+    let interval_replans = rt.joint_plans() - streams.len();
+    assert!(
+        interval_replans >= 3,
+        "expected ≥3 cadence replans over 2 h at 30 min, got {interval_replans}"
+    );
+    let wallet_epochs = rt.joint_plans();
+
+    let out = rt.finish().expect("finish");
+    assert_eq!(out.streams.len(), streams.len());
+    for s in &out.streams {
+        assert_eq!(s.outcome.overflows, 0, "stream {}", s.workload_id);
+        assert!(s.outcome.mean_quality > 0.3, "stream {}", s.workload_id);
+        assert_eq!(s.outcome.segments, serve);
+        // Sessions are externally planned: plans come from the runtime.
+        assert!(s.outcome.plans > interval_replans);
+    }
+    assert!(out.joint_quality > 0.0);
+    // The shared wallet refills once per joint plan: total spend is bounded
+    // by one budget per wallet epoch.
+    assert!(
+        out.cloud_usd <= SHARED_BUDGET_USD * wallet_epochs as f64 + 1e-9,
+        "spent {} over {wallet_epochs} wallet epochs of {SHARED_BUDGET_USD}",
+        out.cloud_usd
+    );
+}
+
+#[test]
+fn shared_wallet_spends_no_more_than_one_budget_per_epoch_even_when_tight() {
+    let streams = fixture();
+    let tight = 0.01;
+    let mut rt = IngestRuntime::new(RuntimeConfig {
+        shared_cloud_budget_usd: tight,
+        ..config(2, TOTAL_CORES)
+    });
+    let ids = open_all(&mut rt, streams);
+    push_round_robin(&mut rt, &ids, &all_segments(streams), 0..streams[0].2.len());
+    let epochs = rt.joint_plans();
+    let out = rt.finish().expect("finish");
+    assert!(out.cloud_usd <= tight * epochs as f64 + 1e-9);
+    for s in &out.streams {
+        assert_eq!(s.outcome.overflows, 0, "tight wallet must not break Eq. 1");
+    }
+}
+
+#[test]
+fn streams_can_arrive_and_push_interleaved_with_admissions() {
+    // Admission mid-serve: two streams run for an hour, then two more join;
+    // the joint LP reruns at each admission and all four finish cleanly.
+    let streams = fixture();
+    let segs = all_segments(streams);
+    let half = segs[0].len() / 2;
+    let mut rt = IngestRuntime::new(config(2, TOTAL_CORES));
+    let mut ids = open_all(&mut rt, &streams[..2]);
+    push_round_robin(&mut rt, &ids, &segs[..2], 0..half);
+
+    let plans = rt.joint_plans();
+    for (v, (w, m, _)) in streams.iter().enumerate().skip(2) {
+        let id = rt
+            .open_stream(format!("late-{v}"), m, w, IngestOptions::default())
+            .expect("late admission");
+        ids.push(id);
+    }
+    assert_eq!(rt.n_streams(), 4);
+    assert_eq!(rt.joint_plans(), plans + 2, "each admission replans");
+
+    // The early streams serve their second hour while the late ones serve
+    // their first; then the early ones leave and the late ones go on.
+    let rest = segs[0].len() - half;
+    let tails: Vec<&[Segment]> = vec![&segs[0][half..], &segs[1][half..], segs[2], segs[3]];
+    push_round_robin(&mut rt, &ids, &tails, 0..rest);
+    rt.close_stream(ids[0]).expect("close");
+    rt.close_stream(ids[1]).expect("close");
+    push_round_robin(&mut rt, &ids[2..], &segs[2..], rest..segs[2].len());
+
+    let out = rt.finish().expect("finish");
+    for s in &out.streams {
+        assert_eq!(s.outcome.overflows, 0, "stream {}", s.workload_id);
+        assert!(s.outcome.segments > 0);
+    }
+}
+
+#[test]
+fn runtime_overload_rejection_is_retryable_and_leaves_no_trace() {
+    // A full bounded mailbox pushes back typed (SkyError::Overloaded), the
+    // rejection changes nothing bitwise, and the identical push succeeds
+    // after the lagging stream catches up.
+    let streams = fixture();
+    let (w0, m0, s0) = &streams[0];
+    let (w1, m1, s1) = &streams[1];
+    let serve = QUOTA + 40;
+
+    let drive = |storm: bool| -> MultiOutcome {
+        let mut rt = IngestRuntime::new(RuntimeConfig {
+            seed: 31,
+            ..config(2, TOTAL_CORES)
+        });
+        let a = rt
+            .open_stream("a", m0, w0, IngestOptions::default())
+            .unwrap();
+        let b = rt
+            .open_stream("b", m1, w1, IngestOptions::default())
+            .unwrap();
+        if storm {
+            // Fill a's mailbox to its epoch bound while b lags entirely.
+            for seg in &s0[..QUOTA] {
+                rt.push(a, seg).unwrap();
+            }
+            for _ in 0..30 {
+                let err = rt.push(a, &s0[QUOTA]).unwrap_err();
+                assert_eq!(
+                    err,
+                    SkyError::Overloaded {
+                        stream: a.index(),
+                        queued: QUOTA,
+                        capacity: QUOTA,
+                    }
+                );
+                assert!(err.is_retryable());
+            }
+            // Catching b up un-wedges the epoch; the identical push that
+            // was rejected now succeeds.
+            for seg in &s1[..QUOTA] {
+                rt.push(b, seg).unwrap();
+            }
+            rt.push(a, &s0[QUOTA])
+                .expect("retry succeeds after dispatch");
+            for i in QUOTA..serve {
+                if i > QUOTA {
+                    rt.push(a, &s0[i]).unwrap();
+                }
+                rt.push(b, &s1[i]).unwrap();
+            }
+        } else {
+            for i in 0..serve {
+                rt.push(a, &s0[i]).unwrap();
+                rt.push(b, &s1[i]).unwrap();
+            }
+        }
+        rt.finish().expect("finish")
+    };
+
+    let calm = drive(false);
+    let stormy = drive(true);
+    assert_multi_outcomes_bitwise_equal("overload rejections leave no trace", &calm, &stormy);
 }
 
 // ---- Runtime-specific behaviors beyond the equivalence bar. ----
