@@ -57,16 +57,16 @@ pub enum SkyError {
         /// The offending stream index.
         id: usize,
     },
-    /// A stream's bounded ingress mailbox is full: it already holds a full
-    /// planning epoch of segments and the epoch cannot be dispatched until
-    /// the lagging streams catch up. Typed backpressure — the caller should
-    /// feed the other streams (or close them) and retry.
+    /// A stream's bounded ingress mailbox is full: the stream was already
+    /// given a full planning epoch of segments and the barrier cannot fire
+    /// until the lagging streams catch up. Typed backpressure — the caller
+    /// should feed the other streams (or close them) and retry.
     Overloaded {
         /// The back-pressured stream index.
         stream: usize,
-        /// Segments currently queued in its mailbox.
+        /// Segments accepted into the epoch, processed or still queued.
         queued: usize,
-        /// Mailbox capacity in segments (one epoch quota).
+        /// The epoch quota in segments.
         capacity: usize,
     },
     /// A segment arrived behind its stream's reorder watermark: segments up

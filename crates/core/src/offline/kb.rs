@@ -27,6 +27,7 @@
 //! any platform — `load → run` is indistinguishable from `fit → run`.
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use super::codec;
@@ -77,6 +78,33 @@ impl Kind {
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     root: PathBuf,
+}
+
+/// Replace `path` by `bytes` so that neither a crash nor a power cut tears
+/// it: write the sibling `tmp`, fsync it, rename it over `path`, then fsync
+/// the directory so the rename itself is on disk. On failure, returns the
+/// path the failing step touched.
+pub(crate) fn durable_replace(
+    path: &Path,
+    tmp: &Path,
+    bytes: &[u8],
+) -> Result<(), (PathBuf, std::io::Error)> {
+    let at = |p: &Path| {
+        let p = p.to_path_buf();
+        move |e| (p, e)
+    };
+    let mut f = fs::File::create(tmp).map_err(at(tmp))?;
+    f.write_all(bytes).map_err(at(tmp))?;
+    f.sync_all().map_err(at(tmp))?;
+    drop(f);
+    fs::rename(tmp, path).map_err(at(path))?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(at(dir))
 }
 
 impl KnowledgeBase {
@@ -141,16 +169,15 @@ impl KnowledgeBase {
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&codec::checksum(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
-        let path = self.file(kind);
         // Write-then-rename so a crash mid-save never tears a previously
         // valid artifact: the file is either the old version or the new one.
-        let tmp = path.with_extension("kb.tmp");
-        let io_err = |p: &Path, e: std::io::Error| SkyError::KnowledgeBaseIo {
-            path: p.display().to_string(),
-            detail: e.to_string(),
-        };
-        fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))
+        let path = self.file(kind);
+        durable_replace(&path, &path.with_extension("kb.tmp"), &bytes).map_err(|(p, e)| {
+            SkyError::KnowledgeBaseIo {
+                path: p.display().to_string(),
+                detail: e.to_string(),
+            }
+        })
     }
 
     fn read(&self, kind: Kind) -> Result<Vec<u8>, SkyError> {

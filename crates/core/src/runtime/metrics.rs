@@ -14,7 +14,11 @@ pub struct StreamMetrics {
     pub active: bool,
     /// Segments ingested so far.
     pub segments_processed: usize,
-    /// Ingress lag: segments queued in the mailbox, not yet processed.
+    /// Ingress lag: accepted segments not yet processed — queued in the
+    /// mailbox, which dispatches at [`MAILBOX_BATCH`](super::MAILBOX_BATCH)
+    /// (so this stays below it between pushes, a reorder-gate release
+    /// aside), or held by the reorder gate. Lag is not the epoch bound:
+    /// a stream may still process up to one epoch ahead of its siblings.
     pub lag_segments: usize,
     /// Current buffer fill in bytes (0 once closed).
     pub buffer_bytes: f64,

@@ -4,9 +4,17 @@
 //! [`IngestRuntime`] is the concurrent serving tier over the Appendix-D
 //! multi-stream semantics: N [`IngestSession`]s are sharded across
 //! [`vetl_exec::ActorPool`] worker shards, each shard draining its streams'
-//! **bounded ingress mailboxes** (typed
-//! [`SkyError::Overloaded`] backpressure instead of silent lag). Shards run
-//! independently *between* planning epochs against **pre-split wallet
+//! **bounded ingress mailboxes**. A mailbox has two bounds. The *epoch
+//! bound* keeps a producer from running more than one planning epoch ahead
+//! of the barrier (typed [`SkyError::Overloaded`] backpressure instead of
+//! silent lag). The *batch bound*, [`MAILBOX_BATCH`] = 2 048 segments,
+//! keeps memory flat in the epoch length: the runtime dispatches as soon as
+//! any mailbox holds a batch, so a stream's accepted-but-unprocessed input
+//! never exceeds one batch, even at the model's 10 800-segment cadence.
+//! 2 048 halves the peak RSS of a 128-stream fleet at unchanged ingest,
+//! and smaller batches buy little more memory for many more dispatches
+//! (see [`MAILBOX_BATCH`]). The epoch bound is unchanged. Shards
+//! run independently *between* planning epochs against **pre-split wallet
 //! leases**; at every **epoch barrier** the coordinator settles the spend,
 //! re-runs the joint LP (Eqs. 7–9) over all streams' fresh forecasts,
 //! refills the wallet, and broadcasts the new plans. Streams can
@@ -33,19 +41,25 @@
 //!    seg_len)` segments per stream — a pure function of the input, not of
 //!    scheduling. A shard that finishes early simply waits; the barrier
 //!    fires when every active stream has exhausted its quota (or closed).
+//!    Batch dispatches only move processing earlier *within* an epoch: a
+//!    stream that used its quota queues nothing more until the barrier is
+//!    pending, the dedup cache is frozen between barriers, and leases are
+//!    per stream, so dispatch timing cannot reach an outcome bit.
 //! 3. **In-band churn.** Close markers travel through the mailbox, pinning
 //!    the closure to an exact position in the stream's segment sequence;
 //!    per-stream RNGs are seeded from the slot index and are carried across
 //!    the shard boundary inside the session state.
 //!
-//! Epoch batches are dispatched to the shards through
+//! Batches are dispatched to the shards through
 //! [`ActorPool::shard_map_mut`], whose static item→shard assignment keeps
-//! every stateful stream on exactly one worker per epoch.
+//! every stateful stream on exactly one worker per dispatch; each worker
+//! drains its streams' mailboxes in place.
 
 mod mailbox;
 mod metrics;
 pub(crate) mod wal;
 
+pub use mailbox::MAILBOX_BATCH;
 pub use metrics::{RuntimeMetrics, StreamMetrics};
 
 use std::borrow::Cow;
@@ -259,10 +273,6 @@ struct RtStream<'a> {
     /// `None` only transiently while a processed close marker settles.
     session: Option<IngestSession<'a, dyn Workload + 'a>>,
     mailbox: Mailbox,
-    /// Drain buffer ping-ponged with the mailbox queue
-    /// ([`Mailbox::drain_into`]): after warm-up, an epoch dispatch moves
-    /// envelopes between these two allocations without touching the heap.
-    scratch: std::collections::VecDeque<Envelope>,
     /// Segments processed in the current planning epoch.
     used: usize,
     /// Segment quota per epoch.
@@ -276,14 +286,14 @@ struct RtStream<'a> {
 }
 
 impl RtStream<'_> {
-    /// Process one drained batch of envelopes on a shard worker, consulting
-    /// the shared dedup cache (frozen between barriers, so sharing a
-    /// reference across workers is race-free). Returns the number of
-    /// segments ingested.
+    /// Drain the mailbox in place on a shard worker, consulting the shared
+    /// dedup cache (frozen between barriers, so sharing a reference across
+    /// workers is race-free). Returns the number of segments ingested.
     ///
     /// Instrumentation is amortized per batch, never per segment: one
-    /// `Instant` pair around the drain, one around the push loop (booked as
-    /// the per-segment mean via
+    /// `Instant` pair around claiming the batch (in place, so the pops
+    /// themselves fall inside the push span), one around the push loop
+    /// (booked as the per-segment mean via
     /// [`record_split`](crate::obs::MetricsRegistry::record_split)), and
     /// one counter add each — so recording stays inside the CI throughput
     /// gate.
@@ -292,17 +302,16 @@ impl RtStream<'_> {
         cache: Option<&DedupCache>,
         obs: Option<&Obs>,
     ) -> Result<usize, SkyError> {
-        let mut batch = std::mem::take(&mut self.scratch);
         let t_drain = obs.map(|_| Instant::now());
-        self.mailbox.drain_into(&mut batch);
+        let taken = self.mailbox.len();
         if let (Some(o), Some(t)) = (obs, t_drain) {
             o.registry.record(HistId::MailboxDrain, t.elapsed());
-            o.registry.add(CounterId::MailboxDrains, batch.len() as u64);
+            o.registry.add(CounterId::MailboxDrains, taken as u64);
         }
         let t_push = obs.map(|_| Instant::now());
         let mut n = 0;
         let mut failed = None;
-        while let Some(env) = batch.pop_front() {
+        while let Some(env) = self.mailbox.pop() {
             match env {
                 Envelope::Segment(seg) => {
                     let session = self.session.as_mut().expect("active stream has a session");
@@ -324,11 +333,10 @@ impl RtStream<'_> {
                 }
             }
         }
-        // Hand the allocation back for the next epoch (a failed batch drops
-        // its unprocessed remainder, exactly as the draining loop always
-        // has).
-        batch.clear();
-        self.scratch = batch;
+        if failed.is_some() {
+            // A failed batch drops its unprocessed remainder.
+            self.mailbox.clear();
+        }
         if let (Some(o), Some(t)) = (obs, t_push) {
             o.registry.record_split(HistId::SessionPush, t.elapsed(), n);
             o.registry.add(CounterId::SessionPushes, n as u64);
@@ -336,6 +344,20 @@ impl RtStream<'_> {
         match failed {
             Some(e) => Err(e),
             None => Ok(n),
+        }
+    }
+
+    /// The [`SkyError::Overloaded`] report: segments accepted into the epoch
+    /// the mailbox is filling (processed by batch dispatches or still
+    /// queued) and that epoch's quota. While the lazy barrier is pending, a
+    /// stream that used its quota fills the next epoch, whose quota is the
+    /// mailbox capacity and none of whose segments has been processed.
+    fn epoch_fill(&self, barrier_pending: bool) -> (usize, usize) {
+        let queued = self.mailbox.segments_queued();
+        if barrier_pending && self.used >= self.quota {
+            (queued, self.mailbox.capacity())
+        } else {
+            (self.used + queued, self.quota)
         }
     }
 
@@ -634,7 +656,6 @@ impl<'a> IngestRuntime<'a> {
             id: workload_id.clone(),
             session: Some(session),
             mailbox: Mailbox::new(1),
-            scratch: std::collections::VecDeque::new(),
             used: 0,
             quota: 1,
             processed: 0,
@@ -672,12 +693,13 @@ impl<'a> IngestRuntime<'a> {
 
     /// Enqueue one segment into a stream's ingress mailbox — a
     /// [`push_batch`](Self::push_batch) of length 1 with the error
-    /// unwrapped. Dispatches an epoch batch across the shards as soon as
-    /// every active stream has a full epoch (or a close marker) queued.
+    /// unwrapped. Dispatches across the shards as soon as the mailbox holds
+    /// [`MAILBOX_BATCH`] segments, or every active stream has the rest of
+    /// its epoch (or a close marker) queued.
     ///
-    /// Returns [`SkyError::Overloaded`] when the mailbox already holds a
-    /// full epoch and lagging streams prevent the dispatch — feed or close
-    /// them, then retry.
+    /// Returns [`SkyError::Overloaded`] when the stream has already been
+    /// given its full epoch quota and lagging streams hold the barrier back
+    /// — feed or close them, then retry.
     pub fn push(&mut self, stream: StreamId, seg: &Segment) -> Result<(), SkyError> {
         self.ingest(stream, std::slice::from_ref(seg))
             .map_err(|(_, e)| e)
@@ -726,9 +748,11 @@ impl<'a> IngestRuntime<'a> {
     /// otherwise everything up to the mailbox's remaining epoch room and
     /// the first invalid segment. Below the room bound this stream keeps
     /// the epoch from dispatching, so the per-segment loop's intermediate
-    /// `try_dispatch` calls are no-ops and one call at the step boundary is
-    /// that loop. An invalid segment ends the step before it and fails the
-    /// next one, with the same error and accepted count the loop reports.
+    /// epoch checks are no-ops and one at the step boundary is that loop;
+    /// the batch dispatches `enqueue` makes inside the step only move
+    /// processing earlier, which no outcome bit can see. An invalid segment
+    /// ends the step before it and fails the next one, with the same error
+    /// and accepted count the loop reports.
     fn step(
         &mut self,
         stream: StreamId,
@@ -742,7 +766,7 @@ impl<'a> IngestRuntime<'a> {
         let a = self.writable(stream)?;
         let (slot, room) = (stream.index(), a.mailbox.room());
         if room == 0 {
-            let (queued, capacity) = (a.mailbox.segments_queued(), a.mailbox.capacity());
+            let (queued, capacity) = a.epoch_fill(self.barrier_pending);
             if let Some(o) = &self.obs {
                 o.registry.inc(CounterId::BackpressureRejections);
                 o.flight.record(TraceEvent::Backpressure {
@@ -792,14 +816,16 @@ impl<'a> IngestRuntime<'a> {
     }
 
     /// Queue journaled segments into the stream's mailbox: fill to the
-    /// epoch room, dispatch at the boundary — exactly where the in-order
-    /// per-segment run does, so a within-window degraded run shares its
-    /// epoch boundaries (and hence its outcome, bit for bit) with it — and
-    /// continue into the freed mailbox. An ungated step was sized to the
-    /// room and is one fill; only a gate release can be longer. When
-    /// lagging siblings block the dispatch, the remainder overshoots the
-    /// quota, bounded by the gate window: released segments are journaled
-    /// input and must never be dropped.
+    /// epoch room or the batch bound, whichever comes first. A full batch
+    /// dispatches at once; at the epoch room the dispatch waits for the
+    /// epoch rule — exactly where the in-order per-segment run dispatches,
+    /// so a within-window degraded run shares its epoch boundaries (and
+    /// hence its outcome, bit for bit) with it. Then continue into the
+    /// freed mailbox. An ungated step was sized to the room; only a gate
+    /// release can be longer. When lagging siblings block the dispatch,
+    /// the remainder overshoots the quota (and the batch), bounded by the
+    /// gate window: released segments are journaled input and must never
+    /// be dropped.
     fn enqueue(&mut self, slot: usize, mut segs: &[Segment]) -> Result<(), SkyError> {
         if let Some(o) = &self.obs {
             // Counter-only on the enqueue path: one relaxed atomic add, no
@@ -811,22 +837,30 @@ impl<'a> IngestRuntime<'a> {
             let mailbox = &mut self.stream_mut(slot).mailbox;
             let fill = match mailbox.room() {
                 0 => segs.len(),
-                room => room.min(segs.len()),
+                room => room.min(mailbox.batch_room()).min(segs.len()),
             };
             mailbox.extend(&segs[..fill]);
             segs = &segs[fill..];
+            let batch = mailbox.batch_room() == 0;
+            if segs.is_empty() && !batch {
+                return Ok(());
+            }
+            self.dispatch_recorded(batch)?;
             if segs.is_empty() {
                 return Ok(());
             }
-            self.dispatch_recorded()?;
         }
     }
 
-    /// Dispatch the epoch if it is ready, journaling the barrier it
-    /// crossed.
-    fn dispatch_recorded(&mut self) -> Result<(), SkyError> {
+    /// Dispatch a full batch, or the epoch if it is ready, journaling the
+    /// barrier it crossed.
+    fn dispatch_recorded(&mut self, batch: bool) -> Result<(), SkyError> {
         let before = self.epoch;
-        self.try_dispatch()?;
+        if batch {
+            self.dispatch()?;
+        } else {
+            self.try_dispatch()?;
+        }
         if self.epoch != before {
             self.wal_append_barrier()?;
         }
@@ -838,7 +872,7 @@ impl<'a> IngestRuntime<'a> {
     /// must not read as a rejected event (a retry would feed the same
     /// input twice), so it poisons fail-stop instead.
     fn applied(&mut self) -> Result<(), SkyError> {
-        self.dispatch_recorded()?;
+        self.dispatch_recorded(false)?;
         let r = self.maybe_snapshot();
         self.poison_on_err(r)
     }
@@ -863,8 +897,9 @@ impl<'a> IngestRuntime<'a> {
     }
 
     /// Segments a batched push can currently enqueue for `stream` before the
-    /// dispatch boundary — the mailbox's remaining epoch-quota room. Batch
-    /// drivers size their runs with this hint to stay allocation- and
+    /// epoch bound — the stream's remaining epoch-quota room (a run longer
+    /// than [`MAILBOX_BATCH`] is dispatched in batches as it is queued).
+    /// Batch drivers size their runs with this hint to stay
     /// backpressure-free; pushing more is still correct, just chunked.
     pub fn mailbox_room(&self, stream: StreamId) -> Result<usize, SkyError> {
         self.writable(stream).map(|a| a.mailbox.room())
@@ -1009,8 +1044,10 @@ impl<'a> IngestRuntime<'a> {
         Ok(out)
     }
 
-    /// Dispatch a full epoch when every active stream is ready — its
-    /// mailbox holds a full quota, or a close marker bounds its epoch.
+    /// Dispatch when every active stream is ready for the epoch rule — its
+    /// mailbox holds the rest of its quota, or a close marker bounds its
+    /// epoch. (The batch rule needs no scan: only `enqueue` grows a
+    /// mailbox, and it dispatches a full batch on the spot.)
     fn try_dispatch(&mut self) -> Result<(), SkyError> {
         let mut any_input = false;
         for a in self.active() {
@@ -1051,7 +1088,7 @@ impl<'a> IngestRuntime<'a> {
             for slot in &mut self.slots {
                 if let RtSlot::Active(a) = slot {
                     if a.mailbox.close_is_first() {
-                        a.mailbox.drain();
+                        a.mailbox.clear();
                         a.settle();
                     }
                 }
@@ -1155,13 +1192,15 @@ impl<'a> IngestRuntime<'a> {
         }
     }
 
-    /// Re-bound every active mailbox after a dispatch. A stream that
-    /// finished its epoch may queue the *next* epoch's full quota (the lazy
-    /// barrier will reset it); a stream left mid-epoch (a flush before an
-    /// admission whose barrier failed, or a journaled `Flush` replayed) may
-    /// only queue the **remainder** of its current
-    /// quota — otherwise the next dispatch would overshoot the epoch and
-    /// fire the joint replan later than processing on arrival would.
+    /// Re-bound every active mailbox after a dispatch. A stream left
+    /// mid-epoch (a batch dispatch, a flush, a journaled `Flush` replayed)
+    /// may only queue the **remainder** of its current quota. A stream
+    /// that used its quota may queue the *next* epoch's full quota once the
+    /// lazy barrier is pending (it resets the count before processing any
+    /// of it), and **nothing** while lagging siblings hold the barrier back
+    /// — otherwise the next batch dispatch would process past the epoch
+    /// bound and fire the joint replan later than processing on arrival
+    /// would.
     fn refresh_mailbox_caps(&mut self) {
         let models: Vec<&FittedModel> = self
             .active()
@@ -1177,14 +1216,16 @@ impl<'a> IngestRuntime<'a> {
                 .map(|m| m.hyper.planned_interval_secs)
                 .fold(f64::INFINITY, f64::min)
         });
+        let barrier_pending = self.barrier_pending;
         for slot in &mut self.slots {
             if let RtSlot::Active(a) = slot {
                 if let Some(sess) = &a.session {
-                    let next_quota = epoch_quota(interval, sess.model().seg_len);
-                    let cap = if a.used >= a.quota {
-                        next_quota
-                    } else {
+                    let cap = if a.used < a.quota {
                         a.quota - a.used
+                    } else if barrier_pending {
+                        epoch_quota(interval, sess.model().seg_len)
+                    } else {
+                        0
                     };
                     a.mailbox.set_capacity(cap);
                 }
@@ -1662,7 +1703,6 @@ impl<'a> IngestRuntime<'a> {
                             id,
                             session: Some(restored),
                             mailbox,
-                            scratch: std::collections::VecDeque::new(),
                             used,
                             quota,
                             processed,

@@ -44,6 +44,7 @@ use crate::dedupe::{self, DedupCache, DedupPolicy};
 use crate::error::SkyError;
 use crate::multistream::{JointPlanRecord, StreamOutcome};
 use crate::offline::codec::{self, dec_opt, enc_opt, Dec, DecodeResult, Enc};
+use crate::offline::kb::durable_replace;
 use crate::online::session::{
     dec_options, dec_outcome, enc_options, enc_outcome, IngestOptions, SessionCheckpoint,
 };
@@ -52,7 +53,9 @@ const WAL_MAGIC: &[u8; 6] = b"SKYWAL";
 const CKPT_MAGIC: &[u8; 6] = b"SKYCKP";
 // The journal and the checkpoint version independently, so a change to one
 // format leaves files of the other readable.
-const WAL_VERSION: u16 = 3;
+// Journal v4: `Barrier` and `DedupHit` records land wherever a batch
+// dispatch crosses the barrier, so a v3 journal could fail replay midway.
+const WAL_VERSION: u16 = 4;
 const CKPT_VERSION: u16 = 4;
 
 /// Bytes of the journal's file header (magic + version). Public to the
@@ -701,8 +704,10 @@ fn decode_snapshot(bytes: &[u8]) -> DecodeResult<RuntimeSnapshot> {
     })
 }
 
-/// Atomically persist a snapshot (temp + rename, framed and checksummed
-/// like every knowledge-base artifact).
+/// Atomically and durably persist a snapshot (temp + fsync + rename +
+/// directory fsync, framed and checksummed like every knowledge-base
+/// artifact). The directory fsync makes the rename survive a power cut
+/// before the caller truncates the journal the snapshot covers.
 pub(crate) fn write_snapshot(dir: &Path, snapshot: &RuntimeSnapshot) -> Result<(), SkyError> {
     fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let payload = encode_snapshot(snapshot);
@@ -712,17 +717,10 @@ pub(crate) fn write_snapshot(dir: &Path, snapshot: &RuntimeSnapshot) -> Result<(
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&codec::checksum(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
+    // Snapshots are rare (epoch cadence), so they can afford the fsyncs
+    // the per-record journal path deliberately skips.
     let path = ckpt_file(dir);
-    let tmp = path.with_extension("ckpt.tmp");
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
-        // Snapshots are rare (epoch cadence), so they can afford the fsync
-        // the per-record journal path deliberately skips: the bytes must be
-        // stable before the rename makes them the checkpoint.
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    }
-    fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))
+    durable_replace(&path, &path.with_extension("ckpt.tmp"), &bytes).map_err(|(p, e)| io_err(&p, e))
 }
 
 /// Load the checkpoint in `dir`, if any. The rename-based write protocol
@@ -1111,10 +1109,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_is_v4_and_a_fresh_journal_is_still_v3() {
+    fn checkpoint_is_v4_and_a_fresh_journal_is_v4() {
         let dir = tmpdir("headers");
         Wal::open(&dir, 0).expect("open");
-        assert_eq!(fs::read(wal_file(&dir)).expect("read"), b"SKYWAL\x03\x00");
+        assert_eq!(fs::read(wal_file(&dir)).expect("read"), b"SKYWAL\x04\x00");
         fs::remove_dir_all(&dir).expect("clean");
 
         let (w, model, segs) = toy();
@@ -1123,7 +1121,7 @@ mod tests {
         assert_eq!(&ckpt[..8], b"SKYCKP\x04\x00");
         assert_eq!(
             &fs::read(wal_file(&dir)).expect("read")[..8],
-            b"SKYWAL\x03\x00"
+            b"SKYWAL\x04\x00"
         );
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1170,6 +1168,40 @@ mod tests {
             ),
             Err(e) => panic!("wrong error class: {e}"),
             Ok(_) => panic!("a v3 checkpoint must not recover"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A v3 journal's barrier cross-checks sit where whole-epoch dispatch
+    /// put them, so it is refused typed instead of replayed.
+    #[test]
+    fn v3_journal_fails_recover_typed() {
+        let (w, model, segs) = toy();
+        let dir = tmpdir("v3-wal");
+        serve_and_crash(&dir, &model, &w, &segs);
+        let resolve =
+            |_: usize, _: &str| Some((&model, &w as &(dyn crate::workload::Workload + '_)));
+        let path = wal_file(&dir);
+        let v4 = fs::read(&path).expect("read");
+        assert!(
+            v4.len() as u64 > HEADER_LEN,
+            "the crash left a journal tail"
+        );
+        // Control: the v4 journal this build wrote recovers.
+        let (rt, report) = IngestRuntime::recover(durable_cfg(&dir), &resolve).expect("v4");
+        assert!(report.replayed_records > 0);
+        drop(rt);
+
+        let mut v3 = v4;
+        v3[6..8].copy_from_slice(&3u16.to_le_bytes());
+        fs::write(&path, v3).expect("write");
+        match IngestRuntime::recover(durable_cfg(&dir), &resolve) {
+            Err(SkyError::CorruptWal { detail }) => assert!(
+                detail.contains("journal version 3") && detail.contains("supports 4"),
+                "{detail}"
+            ),
+            Err(e) => panic!("wrong error class: {e}"),
+            Ok(_) => panic!("a v3 journal must not recover"),
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -177,14 +177,19 @@ impl ActorPool {
     /// scoped worker per shard, and each worker gets exclusive `&mut`
     /// access to its shard's items. Results come back in input order.
     ///
-    /// This is the primitive behind long-lived shard runtimes (each worker
-    /// owns a disjoint set of stateful streams for a whole batch/epoch):
-    /// unlike [`par_map`](Self::par_map) there is no work-stealing cursor —
+    /// Unlike [`par_map`](Self::par_map) there is no work-stealing cursor:
     /// the item→shard assignment is a pure function of index and shard
     /// count, so stateful items are never touched by two workers and the
     /// per-item results are independent of scheduling. Shard `s` of `k`
     /// owns the balanced contiguous range `[s·n/k, (s+1)·n/k)`, so item
     /// `i` of `n` lands on shard `⌈k·(i+1)/n⌉ − 1`.
+    ///
+    /// Nothing here is long-lived: every call with more than one shard
+    /// spawns fresh scoped threads and joins them before it returns, so a
+    /// caller pays the spawn on each call — the ingest runtime on every
+    /// batch dispatch. A spawn-and-join of two scoped threads costs about
+    /// 30 µs (27–35 µs, best of 2 000 calls) on a 2-vCPU Intel Xeon VM,
+    /// eight threads about 110–145 µs.
     ///
     /// # Panics
     /// Propagates the first panic raised inside `f`.

@@ -20,6 +20,7 @@ use std::sync::OnceLock;
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
+use vetl::skyscraper::runtime::MAILBOX_BATCH;
 use vetl::skyscraper::testkit::reference::Reference;
 use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
 use vetl::skyscraper::{FittedModel, MultiOutcome};
@@ -165,7 +166,8 @@ fn run_fleet(
     cams: &[Vec<Segment>],
     opens: &[usize],
 ) -> MultiOutcome {
-    let rounds = opens.iter().max().copied().unwrap_or(0) + FEED;
+    let feed = cams[0].len();
+    let rounds = opens.iter().max().copied().unwrap_or(0) + feed;
     // (handle, cursor, open)
     let mut handles: Vec<(StreamId, usize, bool)> = Vec::new();
     for round in 0..rounds {
@@ -179,7 +181,7 @@ fn run_fleet(
             if !h.2 {
                 continue;
             }
-            if h.1 < FEED {
+            if h.1 < feed {
                 engine.push(h.0, &cams[k][h.1]);
                 h.1 += 1;
             } else {
@@ -280,6 +282,56 @@ fn exact_mode_is_bitwise_identical_to_disabled_for_any_shard_count() {
     let mut exact_j = run_fleet(runtime(policy, 2), &f.jittered, &stagger());
     strip_dedup_counters(&mut exact_j);
     assert_multi_outcomes_bitwise_equal("exact == disabled (jittered)", &disabled_j, &exact_j);
+}
+
+/// Epochs of two mailbox batches and a tail.
+const LONG_QUOTA: usize = 2 * MAILBOX_BATCH + 77;
+
+/// The identical fleet over 2.5 long epochs.
+fn long_identical() -> &'static Vec<Vec<Segment>> {
+    static LONG: OnceLock<Vec<Vec<Segment>>> = OnceLock::new();
+    LONG.get_or_init(|| {
+        let secs = 2.0 * (2 * LONG_QUOTA + 60) as f64;
+        co_located_fleet(
+            ContentParams::traffic_intersection(77),
+            2.0,
+            CAMERAS,
+            0.0,
+            secs,
+            99,
+        )
+    })
+}
+
+fn long_config(policy: Option<DedupPolicy>, shards: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        replan_interval_secs: Some(2.0 * LONG_QUOTA as f64),
+        ..runtime_config(policy, shards, None)
+    }
+}
+
+#[test]
+fn exact_mode_is_bitwise_identical_to_disabled_at_long_epochs() {
+    // Batches dispatch inside every epoch; the lookups between two of them
+    // still see the cache as the last barrier published it.
+    let cams = long_identical();
+    let opens: Vec<usize> = (0..CAMERAS).map(|k| k * LONG_QUOTA).collect();
+    let disabled = run_fleet(
+        Box::new(Reference::new(&long_config(None, 1))),
+        cams,
+        &opens,
+    );
+    for shards in shard_counts() {
+        let rt = IngestRuntime::new(long_config(Some(DedupPolicy::exact()), shards));
+        let mut out = run_fleet(Box::new(Sharded(rt)), cams, &opens);
+        assert!(total_dedup(&out).hits() > 0, "shards={shards} must hit");
+        strip_dedup_counters(&mut out);
+        assert_multi_outcomes_bitwise_equal(
+            &format!("long epochs: exact == disabled (shards={shards})"),
+            &disabled,
+            &out,
+        );
+    }
 }
 
 #[test]

@@ -27,6 +27,7 @@ use proptest::prelude::*;
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
+use vetl::skyscraper::runtime::MAILBOX_BATCH;
 use vetl::skyscraper::testkit::chaos::DeliverySchedule;
 use vetl::skyscraper::testkit::{
     assert_multi_outcomes_bitwise_equal, assert_outcomes_bitwise_equal, ToyWorkload,
@@ -101,8 +102,16 @@ fn opts(window: Option<usize>) -> IngestOptions {
 /// Drive one stream through the sharded runtime in the given arrival order;
 /// every push must be accepted.
 fn run_runtime(shards: usize, window: Option<usize>, arrivals: &[Segment]) -> MultiOutcome {
+    run_runtime_with(config(shards, None), window, arrivals)
+}
+
+fn run_runtime_with(
+    cfg: RuntimeConfig,
+    window: Option<usize>,
+    arrivals: &[Segment],
+) -> MultiOutcome {
     let (w, m, _) = fixture();
-    let mut rt = IngestRuntime::new(config(shards, None));
+    let mut rt = IngestRuntime::new(cfg);
     let id = rt
         .open_stream("cam-0".to_string(), m, w, opts(window))
         .expect("admission");
@@ -188,6 +197,40 @@ fn within_window_reorder_matches_the_in_order_run_bitwise() {
                 &degraded,
             );
         }
+    }
+}
+
+#[test]
+fn within_window_reorder_matches_the_in_order_run_at_long_epochs() {
+    // Epochs of two mailbox batches and a tail: gate releases that cross a
+    // batch boundary dispatch there and continue, and the epoch boundaries
+    // still land where the in-order run puts them.
+    const LONG_QUOTA: usize = 2 * MAILBOX_BATCH + 77;
+    static LONG: OnceLock<Vec<Segment>> = OnceLock::new();
+    let segs = LONG.get_or_init(|| {
+        let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(131), 2.0);
+        let secs = 2.0 * (2 * LONG_QUOTA + 300) as f64;
+        Recording::record(&mut cam, secs).segments().to_vec()
+    });
+    let cond = NetConditions {
+        drop_prob: 0.0,
+        ..NetConditions::hostile(2.0, chaos_seed())
+    };
+    let sched = pin_first(cond.delivery_schedule(segs));
+    assert!(!sched.is_clean(), "hostile conditions must reorder");
+    let window = sched.max_displacement();
+    for shards in [2, max_shards()] {
+        let cfg = || RuntimeConfig {
+            replan_interval_secs: Some(2.0 * LONG_QUOTA as f64),
+            ..config(shards, None)
+        };
+        let in_order = run_runtime_with(cfg(), Some(window), segs);
+        let degraded = run_runtime_with(cfg(), Some(window), &sched.apply(segs));
+        assert_multi_outcomes_bitwise_equal(
+            &format!("long epochs (window {window}), shards {shards}"),
+            &in_order,
+            &degraded,
+        );
     }
 }
 

@@ -20,6 +20,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
+use vetl::skyscraper::runtime::MAILBOX_BATCH;
 use vetl::skyscraper::testkit::chaos::{self, FailurePlan, CRASH_PAYLOAD};
 use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
 use vetl::skyscraper::{FittedModel, MultiOutcome};
@@ -58,7 +59,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 type Fixture = (ToyWorkload, FittedModel, Vec<Segment>);
 
-/// Three independently fitted streams over distinct content processes.
+/// Three independently fitted streams over distinct content processes,
+/// with 5 hours of online video each.
 fn fixture() -> &'static Vec<Fixture> {
     static FIXTURE: OnceLock<Vec<Fixture>> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -77,7 +79,7 @@ fn fixture() -> &'static Vec<Fixture> {
                     &SkyscraperConfig::fast_test(),
                 )
                 .expect("fit");
-                let online = Recording::record(&mut cam, 1.0 * 3_600.0)
+                let online = Recording::record(&mut cam, 5.0 * 3_600.0)
                     .segments()
                     .to_vec();
                 (w, model, online)
@@ -154,11 +156,21 @@ fn fixture_len(fixture: usize) -> usize {
 }
 
 fn config(shards: usize, dir: Option<&PathBuf>, chaos: Option<Arc<FailurePlan>>) -> RuntimeConfig {
+    config_at(REPLAN_SECS, shards, dir, chaos)
+}
+
+/// [`config`] at a replanning interval of `replan_secs`.
+fn config_at(
+    replan_secs: f64,
+    shards: usize,
+    dir: Option<&PathBuf>,
+    chaos: Option<Arc<FailurePlan>>,
+) -> RuntimeConfig {
     RuntimeConfig {
         shards,
         shared_cloud_budget_usd: SHARED_BUDGET_USD,
         seed: SEED,
-        replan_interval_secs: Some(REPLAN_SECS),
+        replan_interval_secs: Some(replan_secs),
         total_cores: Some(TOTAL_CORES),
         durability: dir.map(|d| DurabilityConfig {
             dir: d.clone(),
@@ -380,6 +392,71 @@ fn crash_anywhere_recovery_is_bitwise() {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
+    }
+}
+
+/// Epochs of two mailbox batches and a tail, so batches dispatch inside
+/// epochs: crashes between two batch dispatches, with the barrier pending,
+/// and after a snapshot of a batch-dispatched epoch all recover the
+/// uninterrupted run's epoch bookkeeping and then its outcome, bitwise.
+#[test]
+fn crash_between_batch_dispatches_recovers_bitwise() {
+    const LONG_QUOTA: usize = 2 * MAILBOX_BATCH + 77;
+    let replan_secs = 2.0 * LONG_QUOTA as f64;
+    let schedule = Schedule {
+        opens: vec![(0, 0, 9_000), (0, 1, 9_000), (1_000, 2, 6_000)],
+        closes: vec![(6_500, 1)],
+        rounds: 9_000,
+    };
+    let (ops, open_fixture) = flatten(&schedule);
+    let uninterrupted = |stop_at| {
+        let mut rt = IngestRuntime::new(config_at(replan_secs, 2, None, None));
+        apply_ops(&mut rt, &ops, &open_fixture, None, stop_at);
+        rt
+    };
+    let expected = uninterrupted(None).finish().expect("finish");
+    // Stream 0 fills a batch at rounds 3 047 and 5 095 (the epoch opened by
+    // the admission at round 1 000 is used up at round 5 172) and 7 220,
+    // where the pending barrier fires and the snapshot cadence comes due.
+    let at_round = |round: usize| {
+        ops.iter()
+            .position(|op| matches!(*op, Op::Push { handle: 0, seg_idx } if seg_idx == round))
+            .expect("stream 0 pushes every round")
+    };
+    // What the driver and the epoch bound see: epoch, per-stream progress
+    // and lag, and each stream's epoch room.
+    let observe = |rt: &IngestRuntime<'_>| {
+        let m = rt.metrics();
+        let rooms: Vec<_> = (0..m.streams.len())
+            .map(|i| rt.mailbox_room(StreamId::from_index(i)))
+            .collect();
+        let progress: Vec<_> = m
+            .streams
+            .iter()
+            .map(|s| (s.segments_processed, s.lag_segments))
+            .collect();
+        (m.epoch, progress, rooms)
+    };
+    for (i, round) in [4_000, 6_000, 8_000].into_iter().enumerate() {
+        let crash_at = at_round(round);
+        let live = uninterrupted(Some(crash_at));
+
+        let dir = tmpdir(&format!("batch-{round}"));
+        {
+            let mut rt = IngestRuntime::new(config_at(replan_secs, 2, Some(&dir), None));
+            apply_ops(&mut rt, &ops, &open_fixture, None, Some(crash_at));
+        }
+        let recover_shards = [1, alt_shards(), 2][i];
+        let resolve = resolver(&open_fixture);
+        let cfg = config_at(replan_secs, recover_shards, Some(&dir), None);
+        let (mut rt, report) = IngestRuntime::recover(cfg, &resolve).expect("recover");
+        assert!(report.resumed_from_snapshot);
+        let what = format!("crash at round {round}, 2 -> {recover_shards} shards ({report:?})");
+        assert_eq!(observe(&rt), observe(&live), "{what}");
+        apply_ops(&mut rt, &ops, &open_fixture, Some(&report), None);
+        let out = rt.finish().expect("finish");
+        assert_multi_outcomes_bitwise_equal(&what, &expected, &out);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -15,6 +15,7 @@ use std::sync::OnceLock;
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
+use vetl::skyscraper::runtime::MAILBOX_BATCH;
 use vetl::skyscraper::testkit::reference::Reference;
 use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
 use vetl::skyscraper::{FittedModel, MultiOutcome};
@@ -332,6 +333,315 @@ fn runtime_is_bitwise_equal_for_any_shard_count() {
             &many,
         );
     }
+}
+
+// ---- Epochs longer than a mailbox batch. ----
+
+/// Segments per epoch at 2 s segments: three mailbox batches and a tail.
+const LONG_QUOTA: usize = 3 * MAILBOX_BATCH + 77;
+
+/// The four fixture models over 9 hours of fresh online video each — more
+/// than two long epochs.
+fn long_fixture() -> &'static Vec<Vec<Segment>> {
+    static LONG: OnceLock<Vec<Vec<Segment>>> = OnceLock::new();
+    LONG.get_or_init(|| {
+        (0..4u64)
+            .map(|v| {
+                let mut cam =
+                    SyntheticCamera::new(ContentParams::traffic_intersection(123 + v), 2.0);
+                Recording::record(&mut cam, 9.0 * 3_600.0)
+                    .segments()
+                    .to_vec()
+            })
+            .collect()
+    })
+}
+
+/// The default configuration at `quota`-segment epochs.
+fn config_at_quota(shards: usize, quota: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        replan_interval_secs: Some(2.0 * quota as f64),
+        ..config(shards, TOTAL_CORES)
+    }
+}
+
+/// One step of a long-epoch script; handles are numbered in open order.
+#[derive(Debug, Clone, Copy)]
+enum LongOp {
+    /// Admit fixture stream `fixture`.
+    Open {
+        fixture: usize,
+    },
+    /// `n` single-segment pushes.
+    Each {
+        handle: usize,
+        n: usize,
+    },
+    /// One `push_batch` of `n` segments.
+    Batch {
+        handle: usize,
+        n: usize,
+    },
+    /// The next push is refused as `Overloaded` at a full epoch (checked on
+    /// the runtime; the reference never sees refused input).
+    Overloaded {
+        handle: usize,
+    },
+    Close {
+        handle: usize,
+    },
+}
+
+/// Three streams at quota `3·2048 + 77`, fed in uneven `push` and
+/// `push_batch` runs, several longer than a batch. Stream 0 fills a whole
+/// epoch while the others lag, is refused, and retries once they catch up;
+/// stream 1 closes mid-epoch and stream 3 joins mid-epoch.
+fn long_epoch_script() -> Vec<LongOp> {
+    use LongOp::*;
+    let q = LONG_QUOTA;
+    vec![
+        Open { fixture: 0 },
+        Open { fixture: 1 },
+        Open { fixture: 2 },
+        Batch { handle: 0, n: 3000 },
+        Batch { handle: 0, n: 1 },
+        Batch { handle: 0, n: 2500 },
+        Batch {
+            handle: 0,
+            n: q - 5501,
+        },
+        Overloaded { handle: 0 },
+        Each { handle: 1, n: 1000 },
+        Batch { handle: 1, n: 4000 },
+        Each {
+            handle: 1,
+            n: q - 5000,
+        },
+        Overloaded { handle: 0 },
+        Batch { handle: 2, n: 2100 },
+        Each { handle: 2, n: 77 },
+        Batch {
+            handle: 2,
+            n: q - 2177,
+        },
+        Each { handle: 0, n: 1 },
+        Batch { handle: 0, n: 2600 },
+        Each { handle: 1, n: 1500 },
+        Close { handle: 1 },
+        Batch { handle: 2, n: 3100 },
+        Open { fixture: 3 },
+        Batch { handle: 0, n: 2049 },
+        Each { handle: 2, n: 700 },
+        Batch { handle: 3, n: 5000 },
+        Batch {
+            handle: 0,
+            n: q - 2049,
+        },
+        Batch {
+            handle: 2,
+            n: q - 700,
+        },
+        Each {
+            handle: 3,
+            n: q - 5000,
+        },
+        Each { handle: 0, n: 300 },
+        Batch { handle: 3, n: 2300 },
+        Close { handle: 0 },
+    ]
+}
+
+/// Drive the long-epoch script through the runtime.
+fn long_runtime_run(shards: usize) -> MultiOutcome {
+    let (streams, segs) = (fixture(), long_fixture());
+    let mut rt = IngestRuntime::new(config_at_quota(shards, LONG_QUOTA));
+    // (id, fixture, cursor)
+    let mut handles: Vec<(StreamId, usize, usize)> = Vec::new();
+    for op in long_epoch_script() {
+        match op {
+            LongOp::Open { fixture } => {
+                let (w, m, _) = &streams[fixture];
+                let id = rt
+                    .open_stream(format!("cam-{fixture}"), m, w, IngestOptions::default())
+                    .expect("admission");
+                handles.push((id, fixture, 0));
+            }
+            LongOp::Each { handle, n } => {
+                let (id, fx, cursor) = &mut handles[handle];
+                for seg in &segs[*fx][*cursor..*cursor + n] {
+                    rt.push(*id, seg).expect("push");
+                }
+                *cursor += n;
+            }
+            LongOp::Batch { handle, n } => {
+                let (id, fx, cursor) = &mut handles[handle];
+                rt.push_batch(*id, &segs[*fx][*cursor..*cursor + n])
+                    .expect("push_batch");
+                *cursor += n;
+            }
+            LongOp::Overloaded { handle } => {
+                let (id, fx, cursor) = handles[handle];
+                let err = rt.push(id, &segs[fx][cursor]).unwrap_err();
+                assert_eq!(
+                    err,
+                    SkyError::Overloaded {
+                        stream: id.index(),
+                        queued: LONG_QUOTA,
+                        capacity: LONG_QUOTA,
+                    }
+                );
+                assert_eq!(rt.mailbox_room(id).expect("room"), 0);
+                let lag = rt.metrics().streams[id.index()].lag_segments;
+                assert!(
+                    lag < MAILBOX_BATCH,
+                    "a full epoch queues one batch at most: {lag}"
+                );
+            }
+            LongOp::Close { handle } => rt.close_stream(handles[handle].0).expect("close"),
+        }
+    }
+    rt.finish().expect("finish")
+}
+
+/// The long-epoch script through the reference, one segment per push.
+fn long_reference_run() -> MultiOutcome {
+    let (streams, segs) = (fixture(), long_fixture());
+    let mut reference = Reference::new(&config_at_quota(1, LONG_QUOTA));
+    let mut handles: Vec<(StreamId, usize, usize)> = Vec::new();
+    for op in long_epoch_script() {
+        match op {
+            LongOp::Open { fixture } => {
+                let (w, m, _) = &streams[fixture];
+                let id = reference
+                    .open(format!("cam-{fixture}"), m, w, IngestOptions::default())
+                    .expect("admission");
+                handles.push((id, fixture, 0));
+            }
+            LongOp::Each { handle, n } | LongOp::Batch { handle, n } => {
+                let (id, fx, cursor) = &mut handles[handle];
+                for seg in &segs[*fx][*cursor..*cursor + n] {
+                    reference.push(*id, seg).expect("reference push");
+                }
+                *cursor += n;
+            }
+            LongOp::Overloaded { .. } => {}
+            LongOp::Close { handle } => reference.close(handles[handle].0),
+        }
+    }
+    reference.finish()
+}
+
+#[test]
+fn runtime_matches_reference_long_epoch() {
+    let reference = long_reference_run();
+    let mut counts = vec![1, 2, max_shards()];
+    counts.sort_unstable();
+    counts.dedup();
+    for shards in counts {
+        let out = long_runtime_run(shards);
+        assert_multi_outcomes_bitwise_equal(
+            &format!("long epoch, shards={shards}"),
+            &reference,
+            &out,
+        );
+    }
+}
+
+#[test]
+fn round_robin_lag_stays_within_one_batch_at_long_epochs() {
+    // 10 800-segment epochs (the model's own 6 h cadence): three streams
+    // push round-robin through a third of one epoch. Batches dispatch as
+    // they fill, so no mailbox ever holds more than one, and no barrier
+    // fires before the epoch's quota is used.
+    let streams = fixture();
+    let mut rt = IngestRuntime::new(config_at_quota(2, 10_800));
+    let ids = open_all(&mut rt, &streams[..3]);
+    let plans = rt.joint_plans();
+    let segs = all_segments(&streams[..3]);
+    let mut max_lag = 0;
+    for i in 0..segs[0].len() {
+        for (id, s) in ids.iter().zip(&segs) {
+            rt.push(*id, &s[i]).expect("push");
+        }
+        let m = rt.metrics();
+        max_lag = m
+            .streams
+            .iter()
+            .map(|s| s.lag_segments)
+            .fold(max_lag, usize::max);
+    }
+    assert!(max_lag <= MAILBOX_BATCH, "lag {max_lag} > one batch");
+    let m = rt.metrics();
+    assert!(
+        m.segments_processed > 0,
+        "processing happens in pushes, not at finish"
+    );
+    assert_eq!(rt.joint_plans(), plans, "the epoch bound is unchanged");
+    let out = rt.finish().expect("finish");
+    assert_eq!(out.streams.len(), 3);
+}
+
+#[test]
+fn used_up_stream_waits_for_the_barrier_after_a_batch_dispatch() {
+    // Stream a queues its whole long epoch; b's first batch dispatch then
+    // processes a's tail too, leaving a at `used == quota` while b lags.
+    // The barrier is not pending, so a may queue nothing more: a push is
+    // refused until b completes the epoch, and the run stays equal to the
+    // reference.
+    let (streams, segs) = (fixture(), long_fixture());
+    let q = LONG_QUOTA;
+    let mut rt = IngestRuntime::new(config_at_quota(2, q));
+    let mut reference = Reference::new(&config_at_quota(1, q));
+    let mut ids = Vec::new();
+    for (v, (w, m, _)) in streams[..2].iter().enumerate() {
+        let id = rt
+            .open_stream(format!("cam-{v}"), m, w, IngestOptions::default())
+            .expect("admission");
+        reference
+            .open(format!("cam-{v}"), m, w, IngestOptions::default())
+            .expect("admission");
+        ids.push(id);
+    }
+    let (a, b) = (ids[0], ids[1]);
+    let mut feed =
+        |rt: &mut IngestRuntime<'static>, id: StreamId, range: std::ops::Range<usize>| {
+            let s = &segs[id.index()][range];
+            rt.push_batch(id, s).expect("push_batch");
+            for seg in s {
+                reference.push(id, seg).expect("reference push");
+            }
+        };
+    feed(&mut rt, a, 0..q);
+    assert_eq!(
+        rt.metrics().streams[a.index()].lag_segments,
+        q % MAILBOX_BATCH
+    );
+    feed(&mut rt, b, 0..MAILBOX_BATCH);
+    let m = rt.metrics();
+    assert_eq!(
+        m.streams[a.index()].segments_processed,
+        q,
+        "a used its quota"
+    );
+    assert_eq!(m.streams[a.index()].lag_segments, 0);
+    assert_eq!(rt.mailbox_room(a).expect("room"), 0);
+    assert_eq!(
+        rt.push(a, &segs[0][q]).unwrap_err(),
+        SkyError::Overloaded {
+            stream: a.index(),
+            queued: q,
+            capacity: q,
+        }
+    );
+    feed(&mut rt, b, MAILBOX_BATCH..q);
+    assert_eq!(
+        rt.mailbox_room(a).expect("room"),
+        q,
+        "the next epoch opened"
+    );
+    feed(&mut rt, a, q..q + 1);
+    let out = rt.finish().expect("finish");
+    assert_multi_outcomes_bitwise_equal("clamped stream", &reference.finish(), &out);
 }
 
 /// Admit two streams, then drive them round-robin; at round 137 (mid-epoch)
