@@ -33,7 +33,7 @@ use vetl_video::{Recording, Segment};
 use crate::config::SkyscraperConfig;
 use crate::error::SkyError;
 use crate::offline::{
-    EvalMemo, FittedModel, KnowledgeBase, OfflineArtifacts, OfflinePipeline, OfflineReport,
+    FittedModel, KnowledgeBase, OfflineArtifacts, OfflinePipeline, OfflineReport,
 };
 use crate::online::session::{IngestOptions, IngestOutcome, IngestSession};
 use crate::workload::Workload;
@@ -49,8 +49,6 @@ pub struct Skyscraper<W: Workload> {
     /// [`Self::save_model`]); absent after [`Self::load_model`] of a bare
     /// model file.
     artifacts: Option<OfflineArtifacts>,
-    /// Cross-fit evaluation memo carried between fits.
-    memo: EvalMemo,
 }
 
 impl<W: Workload> Skyscraper<W> {
@@ -65,7 +63,6 @@ impl<W: Workload> Skyscraper<W> {
             options: IngestOptions::default(),
             model: None,
             artifacts: None,
-            memo: EvalMemo::new(),
         }
     }
 
@@ -157,29 +154,24 @@ impl<W: Workload> Skyscraper<W> {
 
     /// `sky.fit(labeled_video, labels, unlabeled_video, proc_frame)` — run
     /// the offline preparation phase (§3). A thin wrapper over the staged
-    /// [`OfflinePipeline`]: the artifacts and the evaluation memo are kept
-    /// for [`Self::refit`] and [`Self::save_model`].
+    /// [`OfflinePipeline`]: the artifacts are kept for [`Self::refit`] and
+    /// [`Self::save_model`].
     pub fn fit(
         &mut self,
         labeled: &Recording,
         unlabeled: &Recording,
     ) -> Result<OfflineReport, SkyError> {
-        let mut pipeline = OfflinePipeline::new(&self.workload, self.hardware, self.hyper.clone())
-            .with_memo(std::mem::take(&mut self.memo));
-        let result = pipeline.run(labeled, unlabeled);
-        self.memo = pipeline.into_memo();
-        let (artifacts, report) = result?;
+        let (artifacts, report) = self.pipeline().run(labeled, unlabeled)?;
         self.model = Some(artifacts.model().clone());
         self.artifacts = Some(artifacts);
         Ok(report)
     }
 
-    /// Incrementally refit on (typically grown) recordings: pipeline stages
-    /// whose inputs are unchanged are reused, and recomputed stages replay
-    /// memoized evaluations from the previous fit — the resulting model is
-    /// bitwise identical to a cold [`Self::fit`] on the same data, only
-    /// faster. Falls back to a full fit when nothing was fitted yet or the
-    /// knob space, hardware, or hyperparameters changed.
+    /// Refit on (typically grown) recordings: when nothing changed since
+    /// the last fit — same recordings, knob space, hardware and
+    /// hyperparameters — the previous fit is kept as is (the report says
+    /// `stages_reused = 4`); otherwise this is a cold [`Self::fit`]. Either
+    /// way the model is bitwise identical to a cold fit on the same data.
     pub fn refit(
         &mut self,
         labeled: &Recording,
@@ -188,11 +180,7 @@ impl<W: Workload> Skyscraper<W> {
         let Some(prev) = self.artifacts.take() else {
             return self.fit(labeled, unlabeled);
         };
-        let mut pipeline = OfflinePipeline::new(&self.workload, self.hardware, self.hyper.clone())
-            .with_memo(std::mem::take(&mut self.memo));
-        let result = pipeline.refit(&prev, labeled, unlabeled);
-        self.memo = pipeline.into_memo();
-        match result {
+        match self.pipeline().refit(&prev, labeled, unlabeled) {
             Ok((artifacts, report)) => {
                 self.model = Some(artifacts.model().clone());
                 self.artifacts = Some(artifacts);
@@ -200,7 +188,7 @@ impl<W: Workload> Skyscraper<W> {
             }
             Err(e) => {
                 // The previous fit is still valid — keep it so a corrected
-                // retry can refit incrementally instead of cold.
+                // retry on the same data can reuse it.
                 self.artifacts = Some(prev);
                 Err(e)
             }
@@ -209,16 +197,15 @@ impl<W: Workload> Skyscraper<W> {
 
     /// Persist the fitted state to a [`KnowledgeBase`] directory: always
     /// the model itself, plus — when this instance fitted it — the staged
-    /// artifacts and the evaluation memo, so a later process can both skip
-    /// offline prep entirely ([`Self::load_model`]) and refit
-    /// incrementally.
+    /// artifacts, so a later process can both skip offline prep entirely
+    /// ([`Self::load_model`]) and [`Self::refit`] without re-running an
+    /// unchanged fit.
     pub fn save_model(&self, path: impl AsRef<Path>) -> Result<(), SkyError> {
         let model = self.model()?;
         let kb = KnowledgeBase::open(path.as_ref())?;
         kb.save_model(model)?;
         if let Some(artifacts) = &self.artifacts {
             kb.save_artifacts(artifacts)?;
-            kb.save_memo(&self.memo)?;
         }
         Ok(())
     }
@@ -227,8 +214,9 @@ impl<W: Workload> Skyscraper<W> {
     /// skipping offline preparation entirely. The stored hardware spec and
     /// hyperparameters travel with the model and are installed on this
     /// instance so sessions behave exactly as they would have on the
-    /// fitting process. Staged artifacts and the memo are picked up too
-    /// when present, re-arming incremental [`Self::refit`].
+    /// fitting process. Staged artifacts are picked up too when present, so
+    /// a [`Self::refit`] on unchanged data reuses them. Any other file in
+    /// the directory (such as an old `memo.kb`) is ignored.
     pub fn load_model(&mut self, path: impl AsRef<Path>) -> Result<&mut Self, SkyError> {
         let kb = KnowledgeBase::open_existing(path.as_ref())?;
         let model = kb.load_model()?;
@@ -271,13 +259,12 @@ impl<W: Workload> Skyscraper<W> {
         } else {
             None
         };
-        self.memo = if kb.has_memo() {
-            kb.load_memo()?
-        } else {
-            EvalMemo::new()
-        };
         self.model = Some(model);
         Ok(self)
+    }
+
+    fn pipeline(&self) -> OfflinePipeline<'_, W> {
+        OfflinePipeline::new(&self.workload, self.hardware, self.hyper.clone())
     }
 
     /// The fitted model (after [`Self::fit`] / [`Self::load_model`]).

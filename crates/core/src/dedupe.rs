@@ -33,9 +33,9 @@
 //! merges all pending lists into the cache *at the barrier, in stable slot
 //! order*, single-threaded. A stream's epoch behavior is therefore a
 //! function of (cache state at the last barrier, its own segments) only —
-//! the same inputs whether streams run on 1 shard or 16 — which is the
-//! same [`crate::offline::EvalMemo`] gather-then-merge discipline the
-//! offline phase uses.
+//! the same inputs whether streams run on 1 shard or 16 — the
+//! position-addressed gather-then-merge discipline the offline phase's
+//! `par_map` stages use.
 //!
 //! ## Staleness and confidence
 //!
@@ -109,7 +109,7 @@ impl Default for DedupPolicy {
 /// Cache key: the dedup scope (model + workload fingerprint — results are
 /// only answers to the *same* extraction question) plus the segment's
 /// content signature. The key is the exact identity itself, not a hash of
-/// it, so collisions are impossible (the memo-key discipline).
+/// it, so collisions are impossible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct DedupKey {
     pub(crate) scope: u64,

@@ -130,7 +130,7 @@ pub enum SkyError {
     /// codec version.
     ArtifactVersionMismatch {
         /// Artifact kind ("profile", "category", "forecast", "plan",
-        /// "model", "memo").
+        /// "model").
         kind: &'static str,
         /// Version found in the file.
         found: u16,

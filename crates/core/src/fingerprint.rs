@@ -1,7 +1,7 @@
 //! Shared fingerprint primitives.
 //!
 //! Every stable identity in the knowledge base — workload fingerprints,
-//! artifact provenance, recording hashes, memo keys, RNG identities, file
+//! artifact provenance, recording hashes, RNG identities, file
 //! checksums — folds bits through this one FNV-1a-style primitive, so the
 //! constants and the folding semantics cannot drift apart between call
 //! sites. Fingerprints are pure `u64` arithmetic over value *bits*:
@@ -81,9 +81,9 @@ pub fn content_signature(seg: &Segment) -> u64 {
 }
 
 /// The bit-exact identity of a content state — THE single definition of
-/// which fields make two contents "the same evaluation input". Memo keys,
-/// RNG identities, and recording fingerprints all consume exactly this
-/// array, so they can never disagree about a field. When `ContentState`
+/// which fields make two contents "the same evaluation input". RNG
+/// identities and recording fingerprints both consume exactly this array,
+/// so they can never disagree about a field. When `ContentState`
 /// grows a behavior-bearing field, extend this list (and only this list).
 pub(crate) fn content_identity_bits(content: &ContentState) -> [u64; 4] {
     [

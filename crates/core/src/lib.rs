@@ -25,7 +25,8 @@
 //!   to the cost/runtime Pareto set (Appendix A.2), KMeans content
 //!   categorization over quality vectors (§3.2), and training of the
 //!   feed-forward forecaster (§3.3, Appendix H). Artifacts persist to a
-//!   [`KnowledgeBase`] and refit **incrementally** when recordings grow.
+//!   [`KnowledgeBase`]; a refit reuses them if nothing changed and
+//!   otherwise fits cold.
 //! * [`online`] — the ingestion phase (§4): the predictive **knob planner**
 //!   solving the LP of Eqs. 2–4 every planned interval, the reactive
 //!   **knob switcher** implementing Eqs. 5–6 with the buffer-overflow
@@ -99,8 +100,8 @@ pub use obs::{
     TraceEvent,
 };
 pub use offline::{
-    run_offline, CategoryArtifact, EvalMemo, FittedModel, ForecastArtifact, KnowledgeBase,
-    OfflineArtifacts, OfflinePipeline, OfflineReport, PlanArtifact, ProfileArtifact,
+    run_offline, CategoryArtifact, FittedModel, ForecastArtifact, KnowledgeBase, OfflineArtifacts,
+    OfflinePipeline, OfflineReport, PlanArtifact, ProfileArtifact,
 };
 pub use online::plan::KnobPlan;
 pub use online::planner::plan_knobs;

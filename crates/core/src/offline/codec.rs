@@ -4,7 +4,7 @@
 //! No serde is available offline, so this module hand-rolls exactly the
 //! encoding the knowledge base needs:
 //!
-//! * **little-endian** fixed-width integers (`u8`/`u16`/`u32`/`u64`;
+//! * **little-endian** fixed-width integers (`u8`/`u16`/`u64`;
 //!   `usize` travels as `u64`),
 //! * `f64` as the little-endian bytes of [`f64::to_bits`] — floats survive
 //!   a round-trip **bitwise**, including NaN payloads, which is what makes
@@ -21,7 +21,6 @@ use vetl_ml::{Activation, Layer, Matrix, Mlp};
 use vetl_sim::{CloudSpec, ClusterSpec, HardwareSpec, NodeId, Placement};
 
 use super::forecast::{CategoryTimeline, ForecastSpec, Forecaster};
-use super::memo::{EvalMemo, MemoKey, MemoTag};
 use super::pipeline::{
     ArtifactMeta, CategoryArtifact, ForecastArtifact, PlanArtifact, ProfileArtifact,
 };
@@ -66,10 +65,6 @@ impl Enc {
     /// Append pre-encoded bytes verbatim (nested payloads).
     pub(crate) fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub(crate) fn u64(&mut self, v: u64) {
@@ -136,11 +131,6 @@ impl<'a> Dec<'a> {
 
     pub(crate) fn u8(&mut self, what: &str) -> DecodeResult<u8> {
         Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> DecodeResult<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     pub(crate) fn u64(&mut self, what: &str) -> DecodeResult<u64> {
@@ -775,53 +765,6 @@ pub(crate) fn decode_plan_artifact(bytes: &[u8]) -> DecodeResult<PlanArtifact> {
     Ok(a)
 }
 
-/// Encode an evaluation memo (entries in sorted-key order so files are
-/// byte-stable).
-pub(crate) fn encode_memo(memo: &EvalMemo) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(memo.scope());
-    let entries = memo.sorted_entries();
-    e.usize(entries.len());
-    for (key, value) in entries {
-        let (tag, config, content) = key.parts();
-        e.u8(tag as u8);
-        e.usize(config.len());
-        for &c in config {
-            e.u32(c);
-        }
-        for &bits in content {
-            e.u64(bits);
-        }
-        e.f64(value[0]);
-        e.f64(value[1]);
-    }
-    e.into_bytes()
-}
-
-/// Decode an evaluation memo.
-pub(crate) fn decode_memo(bytes: &[u8]) -> DecodeResult<EvalMemo> {
-    let mut d = Dec::new(bytes);
-    let scope = d.u64("memo scope")?;
-    let n = d.len(1 + 8 + 4 * 8 + 2 * 8, "memo entries")?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag =
-            MemoTag::from_u8(d.u8("memo tag")?).ok_or_else(|| "unknown memo tag".to_string())?;
-        let n_cfg = d.len(4, "memo config")?;
-        let config: Box<[u32]> = (0..n_cfg)
-            .map(|_| d.u32("memo config index"))
-            .collect::<DecodeResult<_>>()?;
-        let mut content = [0u64; 4];
-        for slot in &mut content {
-            *slot = d.u64("memo content bits")?;
-        }
-        let value = [d.f64("memo value 0")?, d.f64("memo value 1")?];
-        entries.push((MemoKey::from_parts(tag, config, content), value));
-    }
-    expect_finished(&d, "memo")?;
-    Ok(EvalMemo::from_parts(scope, entries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,7 +773,6 @@ mod tests {
     fn primitives_roundtrip_bitwise() {
         let mut e = Enc::new();
         e.u8(7);
-        e.u32(123_456);
         e.u64(u64::MAX);
         e.f64(std::f64::consts::PI);
         e.f64(f64::NAN);
@@ -843,7 +785,6 @@ mod tests {
 
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8("a").unwrap(), 7);
-        assert_eq!(d.u32("c").unwrap(), 123_456);
         assert_eq!(d.u64("d").unwrap(), u64::MAX);
         assert_eq!(
             d.f64("e").unwrap().to_bits(),

@@ -15,7 +15,6 @@ use vetl_exec::ActorPool;
 use vetl_ml::nn::FitConfig;
 use vetl_ml::{mean_absolute_error, Adam, Loss, Mlp};
 
-use super::memo::{EvalMemo, MemoGather, MemoKey, MemoStats, MemoTag};
 use super::seeding;
 use crate::category::ContentCategories;
 use crate::error::SkyError;
@@ -81,76 +80,26 @@ impl CategoryTimeline {
         seed: u64,
         pool: &ActorPool,
     ) -> Result<Self, SkyError> {
-        let mut memo = EvalMemo::new();
-        Self::label_memoized(
-            workload,
-            segments,
-            discriminator,
-            discriminator_idx,
-            categories,
-            seed,
-            pool,
-            &mut memo,
-        )
-        .map(|(tl, _)| tl)
-    }
-
-    /// [`label`](Self::label) replaying already-recorded quality draws from
-    /// a cross-fit memo. Only the *reported quality* of the discriminator is
-    /// memoized (it is the expensive, noise-bearing part); classification
-    /// against the — possibly refitted — category centers is recomputed, so
-    /// a memo recorded under older centers stays valid.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn label_memoized<W: Workload + ?Sized>(
-        workload: &W,
-        segments: &[vetl_video::Segment],
-        discriminator: &KnobConfig,
-        discriminator_idx: usize,
-        categories: &ContentCategories,
-        seed: u64,
-        pool: &ActorPool,
-        memo: &mut EvalMemo,
-    ) -> Result<(Self, MemoStats), SkyError> {
         // Coarse chunks amortize task dispatch over thousands of cheap
         // per-segment evaluations.
         const CHUNK: usize = 1024;
         let chunks: Vec<&[vetl_video::Segment]> = segments.chunks(CHUNK).collect();
-        let memo_ref = &*memo;
-        let labelled: Vec<(Vec<usize>, MemoGather)> = pool.par_map(&chunks, |_, chunk| {
-            let mut gather = MemoGather::default();
-            let labels = chunk
+        let labelled: Vec<Vec<usize>> = pool.par_map(&chunks, |_, chunk| {
+            chunk
                 .iter()
                 .map(|s| {
-                    let q = gather.lookup(
-                        memo_ref,
-                        MemoKey::new(MemoTag::Label, discriminator, &s.content),
-                        || {
-                            let mut rng = seeding::keyed_rng(
-                                seed,
-                                seeding::TAG_LABEL,
-                                seeding::content_fingerprint(&s.content),
-                                seeding::config_fingerprint(discriminator),
-                            );
-                            [
-                                workload.reported_quality(discriminator, &s.content, &mut rng),
-                                0.0,
-                            ]
-                        },
-                    )[0];
+                    let mut rng = seeding::keyed_rng(
+                        seed,
+                        seeding::TAG_LABEL,
+                        seeding::content_fingerprint(&s.content),
+                        seeding::config_fingerprint(discriminator),
+                    );
+                    let q = workload.reported_quality(discriminator, &s.content, &mut rng);
                     categories.classify_single(discriminator_idx, q)
                 })
-                .collect::<Vec<usize>>();
-            (labels, gather)
+                .collect()
         });
-        let mut labels = Vec::with_capacity(segments.len());
-        let mut gathers = Vec::with_capacity(labelled.len());
-        for (chunk_labels, gather) in labelled {
-            labels.extend(chunk_labels);
-            gathers.push(gather);
-        }
-        let stats = MemoGather::collect(memo, gathers);
-        let timeline = Self::new(labels, workload.segment_len(), categories.len())?;
-        Ok((timeline, stats))
+        Self::new(labelled.concat(), workload.segment_len(), categories.len())
     }
 
     /// Number of segments.

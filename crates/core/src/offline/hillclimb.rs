@@ -9,19 +9,15 @@
 //! The search is **parallel and deterministic**: per-segment climbs fan out
 //! across the worker pool, and every `(config, content)` evaluation draws
 //! its quality noise from a generator derived from the master seed and the
-//! evaluation's bit-exact identity (see the `seeding` module). Evaluations
-//! are memoized at two layers: a per-segment `EvalCache` shared between the
-//! climb and the final Pareto filter (so neither phase re-runs the workload
-//! on a pair it has already measured), and the cross-fit
-//! [`EvalMemo`] that lets an incremental refit replay
-//! evaluations recorded by a previous fit bit-for-bit.
+//! evaluation's bit-exact identity (see the `seeding` module). A per-segment
+//! `EvalCache` is shared between the climb and the final Pareto filter, so
+//! neither phase re-runs the workload on a pair it has already measured.
 
 use std::collections::{HashMap, HashSet};
 
 use vetl_exec::ActorPool;
 use vetl_video::ContentState;
 
-use super::memo::{EvalMemo, MemoGather, MemoKey, MemoStats, MemoTag};
 use super::seeding;
 use crate::error::SkyError;
 use crate::knob::KnobConfig;
@@ -40,21 +36,17 @@ struct Eval {
 /// Quality draws come from a per-`(seed, content, config)` generator, so a
 /// cache hit returns exactly what a recomputation would — results do not
 /// depend on evaluation order, which is what makes the parallel offline run
-/// bit-identical to the single-worker run, and the cross-fit memo sound.
+/// bit-identical to the single-worker run.
 #[derive(Debug)]
-pub(crate) struct EvalCache<'m> {
+pub(crate) struct EvalCache {
     seed: u64,
-    memo: &'m EvalMemo,
-    gather: MemoGather,
     map: HashMap<KnobConfig, (f64, f64)>,
 }
 
-impl<'m> EvalCache<'m> {
-    pub(crate) fn new(seed: u64, memo: &'m EvalMemo) -> Self {
+impl EvalCache {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             seed,
-            memo,
-            gather: MemoGather::default(),
             map: HashMap::new(),
         }
     }
@@ -69,16 +61,7 @@ impl<'m> EvalCache<'m> {
         if let Some(&v) = self.map.get(config) {
             return v;
         }
-        let seed = self.seed;
-        let v = self.gather.lookup(
-            self.memo,
-            MemoKey::new(MemoTag::Climb, config, content),
-            || {
-                let (w, q) = Self::compute(seed, workload, content, config);
-                [w, q]
-            },
-        );
-        let v = (v[0], v[1]);
+        let v = Self::compute(self.seed, workload, content, config);
         self.map.insert(config.clone(), v);
         v
     }
@@ -119,7 +102,7 @@ impl<'m> EvalCache<'m> {
 fn climb_one<W: Workload + ?Sized>(
     workload: &W,
     content: &ContentState,
-    cache: &mut EvalCache<'_>,
+    cache: &mut EvalCache,
     max_steps: usize,
 ) -> Vec<Eval> {
     let knobs = workload.knobs();
@@ -205,17 +188,14 @@ fn pareto(evals: Vec<Eval>) -> Vec<Eval> {
 /// on mean work / mean quality across all samples. `k_plus` is
 /// force-included so the most qualitative configuration always survives.
 ///
-/// The result is identical for every pool size and for every memo state
-/// (see module docs); the returned [`MemoStats`] reports how much of the
-/// work was replayed from `memo`.
+/// The result is identical for every pool size (see module docs).
 pub fn filter_configs<W: Workload + ?Sized>(
     workload: &W,
     samples: &[ContentState],
     k_plus: &KnobConfig,
     seed: u64,
     pool: &ActorPool,
-    memo: &mut EvalMemo,
-) -> Result<(Vec<KnobConfig>, MemoStats), SkyError> {
+) -> Result<Vec<KnobConfig>, SkyError> {
     if samples.is_empty() {
         return Err(SkyError::InsufficientData {
             what: "config filtering needs sample segments",
@@ -225,9 +205,8 @@ pub fn filter_configs<W: Workload + ?Sized>(
 
     // Per-segment climbs, in parallel. Each climb owns its segment's cache;
     // the caches come back for reuse by the mean filter below.
-    let memo_ref = &*memo;
     let climbed: Vec<(Vec<Eval>, EvalCache)> = pool.par_map(samples, |_, content| {
-        let mut cache = EvalCache::new(seed, memo_ref);
+        let mut cache = EvalCache::new(seed);
         let path = climb_one(workload, content, &mut cache, max_steps);
         (pareto(path), cache)
     });
@@ -248,31 +227,18 @@ pub fn filter_configs<W: Workload + ?Sized>(
     let caches: Vec<EvalCache> = climbed.into_iter().map(|(_, c)| c).collect();
 
     // Mean work/quality of every union config across all samples, reusing
-    // the climb evaluations. One row per segment, scattered across workers;
-    // evaluations missing from both cache layers are computed and gathered
-    // for the memo.
+    // the climb evaluations. One row per segment, scattered across workers.
     let union_ref = &union;
     let caches_ref = &caches;
-    let rows: Vec<(Vec<(f64, f64)>, MemoGather)> = pool.par_map(samples, |i, content| {
-        let mut gather = MemoGather::default();
-        let row = union_ref
+    let rows: Vec<Vec<(f64, f64)>> = pool.par_map(samples, |i, content| {
+        union_ref
             .iter()
             .map(|config| {
-                if let Some(v) = caches_ref[i].get(config) {
-                    return v;
-                }
-                let v = gather.lookup(
-                    memo_ref,
-                    MemoKey::new(MemoTag::Climb, config, content),
-                    || {
-                        let (w, q) = EvalCache::compute(seed, workload, content, config);
-                        [w, q]
-                    },
-                );
-                (v[0], v[1])
+                caches_ref[i]
+                    .get(config)
+                    .unwrap_or_else(|| EvalCache::compute(seed, workload, content, config))
             })
-            .collect();
-        (row, gather)
+            .collect()
     });
 
     let n = samples.len() as f64;
@@ -282,7 +248,7 @@ pub fn filter_configs<W: Workload + ?Sized>(
         .map(|(k, config)| {
             let (work, quality) = rows
                 .iter()
-                .fold((0.0, 0.0), |(w, q), (row, _)| (w + row[k].0, q + row[k].1));
+                .fold((0.0, 0.0), |(w, q), row| (w + row[k].0, q + row[k].1));
             Eval {
                 config,
                 work: work / n,
@@ -303,12 +269,7 @@ pub fn filter_configs<W: Workload + ?Sized>(
     if !result.contains(k_plus) {
         result.push(k_plus.clone());
     }
-
-    // Fold both phases' gathers into the memo.
-    let mut gathers: Vec<MemoGather> = caches.into_iter().map(|c| c.gather).collect();
-    gathers.extend(rows.into_iter().map(|(_, g)| g));
-    let stats = MemoGather::collect(memo, gathers);
-    Ok((result, stats))
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -335,10 +296,7 @@ mod tests {
         seed: u64,
         pool: &ActorPool,
     ) -> Vec<KnobConfig> {
-        let mut memo = EvalMemo::new();
-        filter_configs(w, samples, k_plus, seed, pool, &mut memo)
-            .expect("filter succeeds")
-            .0
+        filter_configs(w, samples, k_plus, seed, pool).expect("filter succeeds")
     }
 
     #[test]
@@ -413,33 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_memo_changes_nothing_but_skips_evaluations() {
-        let w = ToyWorkload::new();
-        let samples = contents();
-        let k_plus = w.config_space().max_config();
-        let pool = ActorPool::new(2);
-        let mut memo = EvalMemo::new();
-        let (cold, cold_stats) =
-            filter_configs(&w, &samples, &k_plus, 11, &pool, &mut memo).expect("cold");
-        assert_eq!(cold_stats.hits, 0, "empty memo cannot hit");
-        assert!(cold_stats.misses > 0);
-        let (warm, warm_stats) =
-            filter_configs(&w, &samples, &k_plus, 11, &pool, &mut memo).expect("warm");
-        assert_eq!(cold, warm, "memo replay must be invisible in the result");
-        assert_eq!(
-            warm_stats.misses, 0,
-            "a verbatim rerun must be fully memoized"
-        );
-        assert_eq!(warm_stats.hits, cold_stats.misses);
-    }
-
-    #[test]
     fn empty_samples_are_a_typed_error() {
         let w = ToyWorkload::new();
         let pool = ActorPool::new(1);
         let k_plus = w.config_space().max_config();
-        let mut memo = EvalMemo::new();
-        let err = filter_configs(&w, &[], &k_plus, 3, &pool, &mut memo).unwrap_err();
+        let err = filter_configs(&w, &[], &k_plus, 3, &pool).unwrap_err();
         assert!(matches!(err, SkyError::InsufficientData { .. }));
     }
 
@@ -454,18 +390,17 @@ mod tests {
         let mut other_content = all[1];
         other_content.difficulty = 0.6;
         let config = w.config_space().min_config();
-        let memo = EvalMemo::new();
-        let mut cache = EvalCache::new(9, &memo);
+        let mut cache = EvalCache::new(9);
         let a = cache.eval(&w, &content, &config);
         let n_after_first = cache.len();
         let b = cache.eval(&w, &content, &config);
         assert_eq!(a, b);
         assert_eq!(cache.len(), n_after_first, "second eval must hit the cache");
         // A fresh cache for the same (seed, content) reproduces the draw.
-        let mut fresh = EvalCache::new(9, &memo);
+        let mut fresh = EvalCache::new(9);
         assert_eq!(fresh.eval(&w, &content, &config), a);
         // Different content draws different noise.
-        let mut other = EvalCache::new(9, &memo);
+        let mut other = EvalCache::new(9);
         assert_ne!(other.eval(&w, &other_content, &config).1, a.1);
     }
 }

@@ -9,8 +9,10 @@
 //!   forecast.kb   stage 3 — forecaster, bootstrap tail, drift calibration
 //!   plan.kb       stage 4 — assembled FittedModel + seeded knob plan
 //!   model.kb      the FittedModel alone (written by save_model)
-//!   memo.kb       the cross-fit evaluation memo behind incremental refit
 //! ```
+//!
+//! Nothing else in the directory is read: a `memo.kb` that older versions
+//! wrote beside these files is ignored.
 //!
 //! Every file is framed as
 //!
@@ -31,7 +33,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use super::codec;
-use super::memo::EvalMemo;
 use super::pipeline::OfflineArtifacts;
 use super::FittedModel;
 use crate::error::SkyError;
@@ -47,7 +48,8 @@ enum Kind {
     Forecast = 3,
     Plan = 4,
     Model = 5,
-    Memo = 6,
+    // Tag 6 stays unused: it marked the evaluation memo (`memo.kb`), which
+    // old knowledge-base directories still hold.
 }
 
 impl Kind {
@@ -58,7 +60,6 @@ impl Kind {
             Kind::Forecast => "forecast",
             Kind::Plan => "plan",
             Kind::Model => "model",
-            Kind::Memo => "memo",
         }
     }
 
@@ -69,7 +70,6 @@ impl Kind {
             Kind::Forecast => "forecast.kb",
             Kind::Plan => "plan.kb",
             Kind::Model => "model.kb",
-            Kind::Memo => "memo.kb",
         }
     }
 }
@@ -150,11 +150,6 @@ impl KnowledgeBase {
         [Kind::Profile, Kind::Category, Kind::Forecast, Kind::Plan]
             .iter()
             .all(|&k| self.file(k).exists())
-    }
-
-    /// Does a persisted evaluation memo exist?
-    pub fn has_memo(&self) -> bool {
-        self.file(Kind::Memo).exists()
     }
 
     // ------------------------------------------------------------------
@@ -267,16 +262,6 @@ impl KnowledgeBase {
     pub fn load_model(&self) -> Result<FittedModel, SkyError> {
         self.decode(Kind::Model, codec::decode_model)
     }
-
-    /// Persist the evaluation memo.
-    pub fn save_memo(&self, memo: &EvalMemo) -> Result<(), SkyError> {
-        self.write(Kind::Memo, &codec::encode_memo(memo))
-    }
-
-    /// Load the evaluation memo.
-    pub fn load_memo(&self) -> Result<EvalMemo, SkyError> {
-        self.decode(Kind::Memo, codec::decode_memo)
-    }
 }
 
 #[cfg(test)]
@@ -334,24 +319,23 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_and_memo_roundtrip() {
+    fn artifacts_roundtrip() {
         let dir = tmpdir("arts");
         let kb = KnowledgeBase::open(&dir).expect("open");
         let w = ToyWorkload::new();
         let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(3), 2.0);
         let labeled = Recording::record(&mut cam, 20.0 * 60.0);
         let unlabeled = Recording::record(&mut cam, 43_200.0);
-        let mut pipeline = OfflinePipeline::new(
+        let (arts, _) = OfflinePipeline::new(
             &w,
             HardwareSpec::with_cores(4),
             SkyscraperConfig::fast_test(),
-        );
-        let (arts, _) = pipeline.run(&labeled, &unlabeled).expect("run");
+        )
+        .run(&labeled, &unlabeled)
+        .expect("run");
 
         kb.save_artifacts(&arts).expect("save artifacts");
-        kb.save_memo(pipeline.memo()).expect("save memo");
         assert!(kb.has_artifacts());
-        assert!(kb.has_memo());
 
         let loaded = kb.load_artifacts().expect("load artifacts");
         assert_eq!(loaded.profile.fingerprint(), arts.profile.fingerprint());
@@ -362,10 +346,6 @@ mod tests {
             loaded.plan.model.fingerprint(),
             arts.plan.model.fingerprint()
         );
-
-        let memo = kb.load_memo().expect("load memo");
-        assert_eq!(memo.len(), pipeline.memo().len());
-        assert_eq!(memo.scope(), pipeline.memo().scope());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,18 +17,16 @@
 //! (`ProfileArtifact → CategoryArtifact → ForecastArtifact → PlanArtifact`)
 //! that persists to a [`KnowledgeBase`] and reloads bitwise identically.
 //! [`run_offline`] remains as the one-call wrapper over the full pipeline.
-//! [`OfflinePipeline::refit`] refits **incrementally** when recordings grow,
-//! replaying memoized evaluations ([`EvalMemo`]) so the result is bitwise
-//! identical to a cold fit — see `pipeline` and `memo` module docs.
+//! [`OfflinePipeline::refit`] reuses a previous fit when nothing changed
+//! and otherwise fits cold — see the `pipeline` module docs.
 //!
 //! [`OfflineReport`] records per-step wall-clock runtimes — the data behind
-//! Table 3 — plus memo hit statistics.
+//! Table 3 — plus fit statistics.
 
 pub mod codec;
 pub mod forecast;
 pub mod hillclimb;
 pub mod kb;
-pub mod memo;
 pub mod pipeline;
 pub mod sampling;
 mod seeding;
@@ -46,7 +44,6 @@ use forecast::{CategoryTimeline, Forecaster};
 
 pub use forecast::ForecastDataset;
 pub use kb::KnowledgeBase;
-pub use memo::{EvalMemo, MemoStats};
 pub use pipeline::{
     recording_fingerprint, ArtifactMeta, CategoryArtifact, ForecastArtifact, OfflineArtifacts,
     OfflinePipeline, PlanArtifact, ProfileArtifact,
@@ -152,7 +149,7 @@ impl FittedModel {
     /// exclusion is `hyper.n_workers`: fits are bit-identical for every
     /// worker count, so a 1-worker and an N-worker fit of the same data
     /// must fingerprint equally. Backs the knowledge-base round-trip and
-    /// incremental-refit equivalence tests.
+    /// refit equivalence tests.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.eat_str(&self.workload_name).eat_f64(self.seg_len);
@@ -249,13 +246,8 @@ pub struct OfflineReport {
     pub n_train_samples: usize,
     /// Worker threads the offline scatter-gather steps fanned out over.
     pub n_workers: usize,
-    /// Stochastic evaluations replayed from the cross-fit memo (0 on a cold
-    /// fit).
-    pub memo_hits: usize,
-    /// Stochastic evaluations computed fresh (and recorded in the memo).
-    pub memo_misses: usize,
-    /// Pipeline stages reused verbatim from previous artifacts (only
-    /// non-zero for [`OfflinePipeline::refit`]).
+    /// Pipeline stages reused verbatim from previous artifacts: 4 when
+    /// [`OfflinePipeline::refit`] found nothing changed, else 0.
     pub stages_reused: usize,
 }
 
@@ -303,9 +295,9 @@ pub fn run_offline_with<W: Workload + ?Sized>(
     hyper: &SkyscraperConfig,
     clustering: ClusteringAlgo,
 ) -> Result<(FittedModel, OfflineReport), SkyError> {
-    let mut pipeline =
-        OfflinePipeline::new(workload, hardware, hyper.clone()).with_clustering(clustering);
-    let (artifacts, report) = pipeline.run(labeled, unlabeled)?;
+    let (artifacts, report) = OfflinePipeline::new(workload, hardware, hyper.clone())
+        .with_clustering(clustering)
+        .run(labeled, unlabeled)?;
     Ok((artifacts.into_model(), report))
 }
 
@@ -351,9 +343,7 @@ mod tests {
         assert_eq!(report.n_configs, model.n_configs());
         assert!(report.forecast_mae.is_finite());
         assert!(report.n_train_samples > 10);
-        // A cold fit computes everything fresh.
-        assert_eq!(report.memo_hits, 0);
-        assert!(report.memo_misses > 0);
+        // A cold fit reuses nothing.
         assert_eq!(report.stages_reused, 0);
     }
 

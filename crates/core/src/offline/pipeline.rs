@@ -19,15 +19,13 @@
 //! [`KnowledgeBase`](super::kb::KnowledgeBase) and reload bitwise
 //! identically.
 //!
-//! **Incremental refit** ([`OfflinePipeline::refit`]): when the recordings
-//! grow by appended segments, stages whose inputs are bit-identical are
-//! reused outright, and recomputed stages replay every previously seen
-//! stochastic evaluation from the [`EvalMemo`] — so a warm refit is
-//! provably bitwise identical to a cold fit on the same data, only faster.
-//! A changed knob space, workload, or seed clears the memo (full-refit
-//! fallback); a changed hardware spec or hyperparameter set invalidates the
-//! artifacts but keeps the memo, which stays valid because quality/work
-//! evaluations never depend on either.
+//! **Refit** ([`OfflinePipeline::refit`]) reuses a previous fit only when
+//! its inputs are unchanged: the same workload, hyperparameters, hardware
+//! and seed, the same labeled and unlabeled recordings, and an intact
+//! artifact chain. Every stage's provenance carries the unlabeled recording
+//! and its upstream artifact, so either all four stages can be reused or
+//! none can; anything else is a cold fit. Either way the model is bitwise
+//! identical to a cold [`OfflinePipeline::run`] on the same data.
 
 use std::time::Instant;
 
@@ -39,7 +37,6 @@ use vetl_sim::{CloudSpec, ClusterSpec, HardwareSpec};
 use vetl_video::{ContentState, Recording};
 
 use super::forecast::{CategoryTimeline, ForecastDataset, ForecastSpec, Forecaster};
-use super::memo::{EvalMemo, MemoGather, MemoKey, MemoStats, MemoTag};
 use super::{hillclimb, sampling, seeding, FittedModel, OfflineReport};
 use crate::category::{ClusteringAlgo, ContentCategories};
 use crate::config::SkyscraperConfig;
@@ -339,26 +336,18 @@ pub struct OfflinePipeline<'w, W: Workload + ?Sized> {
     hyper: SkyscraperConfig,
     clustering: ClusteringAlgo,
     pool: ActorPool,
-    memo: EvalMemo,
-    stats: MemoStats,
-    stages_reused: usize,
 }
 
 impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
     /// Build a pipeline for one workload/hardware/hyperparameter triple.
     pub fn new(workload: &'w W, hardware: HardwareSpec, hyper: SkyscraperConfig) -> Self {
         let pool = ActorPool::new(hyper.resolved_workers());
-        let mut memo = EvalMemo::new();
-        memo.rescope(Self::memo_scope(workload, hyper.seed));
         Self {
             workload,
             hardware,
             hyper,
             clustering: ClusteringAlgo::KMeans,
             pool,
-            memo,
-            stats: MemoStats::default(),
-            stages_reused: 0,
         }
     }
 
@@ -366,30 +355,6 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
     pub fn with_clustering(mut self, clustering: ClusteringAlgo) -> Self {
         self.clustering = clustering;
         self
-    }
-
-    /// Install a previously recorded evaluation memo (e.g. loaded from a
-    /// [`KnowledgeBase`](super::kb::KnowledgeBase)). A memo recorded under a
-    /// different workload fingerprint or seed is cleared — the full-refit
-    /// fallback.
-    pub fn with_memo(mut self, mut memo: EvalMemo) -> Self {
-        memo.rescope(Self::memo_scope(self.workload, self.hyper.seed));
-        self.memo = memo;
-        self
-    }
-
-    /// The current evaluation memo (e.g. to persist after a fit).
-    pub fn memo(&self) -> &EvalMemo {
-        &self.memo
-    }
-
-    /// Consume the pipeline, returning the memo.
-    pub fn into_memo(self) -> EvalMemo {
-        self.memo
-    }
-
-    fn memo_scope(workload: &W, seed: u64) -> u64 {
-        Fnv::new().eat(workload.fingerprint()).eat(seed).finish()
     }
 
     fn meta(&self, labeled_fp: u64, unlabeled_fp: u64, upstream_fp: u64) -> ArtifactMeta {
@@ -429,7 +394,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
     /// Filter knob configurations (Appendix A.1) and profile their
     /// placements on the provisioned hardware (Appendix A.2).
     pub fn profile(
-        &mut self,
+        &self,
         labeled: &Recording,
         unlabeled: &Recording,
     ) -> Result<ProfileArtifact, SkyError> {
@@ -462,15 +427,13 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
             &mut rng,
         )?;
         let diverse_contents: Vec<ContentState> = diverse.iter().map(|s| s.content).collect();
-        let (mut configs, stats) = hillclimb::filter_configs(
+        let mut configs = hillclimb::filter_configs(
             self.workload,
             &diverse_contents,
             &k_plus,
             self.hyper.seed,
             &self.pool,
-            &mut self.memo,
         )?;
-        self.stats.absorb(stats);
         if !configs.contains(&k_minus) {
             configs.insert(0, k_minus.clone());
         }
@@ -549,7 +512,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
     /// sampled fraction of the unlabeled recording, category-conditional
     /// quality/cost columns, ranking orders, and the discriminator choice.
     pub fn categorize(
-        &mut self,
+        &self,
         unlabeled: &Recording,
         profile: &ProfileArtifact,
     ) -> Result<CategoryArtifact, SkyError> {
@@ -577,41 +540,24 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
 
         // One quality vector per sampled segment, scattered across the
         // pool; each (content, config) pair draws its observation noise
-        // from its own generator and is replayable from the memo.
+        // from its own generator.
         let workload = self.workload;
         let seed = self.hyper.seed;
-        let memo_ref = &self.memo;
         let profiles_ref = &profile.configs;
-        let vectors: Vec<(Vec<f64>, MemoGather)> = self.pool.par_map(&sampled, |_, content| {
-            let mut gather = MemoGather::default();
-            let row = profiles_ref
+        let quality_vectors: Vec<Vec<f64>> = self.pool.par_map(&sampled, |_, content| {
+            profiles_ref
                 .iter()
                 .map(|p| {
-                    gather.lookup(
-                        memo_ref,
-                        MemoKey::new(MemoTag::Categorize, &p.config, content),
-                        || {
-                            let mut rng = seeding::keyed_rng(
-                                seed,
-                                seeding::TAG_CATEGORIZE,
-                                seeding::content_fingerprint(content),
-                                seeding::config_fingerprint(&p.config),
-                            );
-                            [workload.reported_quality(&p.config, content, &mut rng), 0.0]
-                        },
-                    )[0]
+                    let mut rng = seeding::keyed_rng(
+                        seed,
+                        seeding::TAG_CATEGORIZE,
+                        seeding::content_fingerprint(content),
+                        seeding::config_fingerprint(&p.config),
+                    );
+                    workload.reported_quality(&p.config, content, &mut rng)
                 })
-                .collect::<Vec<f64>>();
-            (row, gather)
+                .collect()
         });
-        let mut quality_vectors = Vec::with_capacity(vectors.len());
-        let mut gathers = Vec::with_capacity(vectors.len());
-        for (row, gather) in vectors {
-            quality_vectors.push(row);
-            gathers.push(gather);
-        }
-        self.stats
-            .absorb(MemoGather::collect(&mut self.memo, gathers));
 
         let categories = ContentCategories::fit_on(
             &quality_vectors,
@@ -694,7 +640,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
     /// train the forecaster (§3.3, Appendices H and K), and calibrate the
     /// drift detector.
     pub fn forecast(
-        &mut self,
+        &self,
         unlabeled: &Recording,
         profile: &ProfileArtifact,
         category: &CategoryArtifact,
@@ -715,7 +661,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
         let disc_config = profile.configs[discriminator].config.clone();
 
         let t0 = Instant::now();
-        let (timeline, stats) = CategoryTimeline::label_memoized(
+        let timeline = CategoryTimeline::label(
             self.workload,
             unlabeled.segments(),
             &disc_config,
@@ -723,9 +669,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
             &category.categories,
             self.hyper.seed,
             &self.pool,
-            &mut self.memo,
         )?;
-        self.stats.absorb(stats);
         let forecast_data_secs = t0.elapsed().as_secs_f64();
 
         // In-distribution residual scale (drift-detector calibration):
@@ -741,38 +685,19 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
                 .collect();
             let workload = self.workload;
             let seed = self.hyper.seed;
-            let memo_ref = &self.memo;
             let categories_ref = &category.categories;
             let disc_ref = &disc_config;
-            let drawn: Vec<(f64, MemoGather)> = self.pool.par_map(&strided, |_, content| {
-                let mut gather = MemoGather::default();
-                let q = gather.lookup(
-                    memo_ref,
-                    MemoKey::new(MemoTag::Residual, disc_ref, content),
-                    || {
-                        let mut rng = seeding::keyed_rng(
-                            seed,
-                            seeding::TAG_RESIDUAL,
-                            seeding::content_fingerprint(content),
-                            seeding::config_fingerprint(disc_ref),
-                        );
-                        [workload.reported_quality(disc_ref, content, &mut rng), 0.0]
-                    },
-                )[0];
+            let mut residuals: Vec<f64> = self.pool.par_map(&strided, |_, content| {
+                let mut rng = seeding::keyed_rng(
+                    seed,
+                    seeding::TAG_RESIDUAL,
+                    seeding::content_fingerprint(content),
+                    seeding::config_fingerprint(disc_ref),
+                );
+                let q = workload.reported_quality(disc_ref, content, &mut rng);
                 let c = categories_ref.classify_single(discriminator, q);
-                (
-                    (categories_ref.avg_quality(discriminator, c) - q).abs(),
-                    gather,
-                )
+                (categories_ref.avg_quality(discriminator, c) - q).abs()
             });
-            let mut residuals = Vec::with_capacity(drawn.len());
-            let mut gathers = Vec::with_capacity(drawn.len());
-            for (r, g) in drawn {
-                residuals.push(r);
-                gathers.push(g);
-            }
-            self.stats
-                .absorb(MemoGather::collect(&mut self.memo, gathers));
             if residuals.iter().any(|r| !r.is_finite()) {
                 return Err(SkyError::NonFinite {
                     what: "drift-calibration residual",
@@ -834,7 +759,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
     /// plan the first online interval would install, computed from the
     /// bootstrap-tail forecast at zero cloud budget.
     pub fn plan(
-        &mut self,
+        &self,
         profile: &ProfileArtifact,
         category: &CategoryArtifact,
         forecast: &ForecastArtifact,
@@ -894,12 +819,10 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
 
     /// Run all four stages cold.
     pub fn run(
-        &mut self,
+        &self,
         labeled: &Recording,
         unlabeled: &Recording,
     ) -> Result<(OfflineArtifacts, OfflineReport), SkyError> {
-        self.stats = MemoStats::default();
-        self.stages_reused = 0;
         let profile = self.profile(labeled, unlabeled)?;
         let category = self.categorize(unlabeled, &profile)?;
         let forecast = self.forecast(unlabeled, &profile, &category)?;
@@ -914,71 +837,54 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
         Ok((artifacts, report))
     }
 
-    /// Incremental refit: rerun the pipeline on (possibly grown) data,
-    /// reusing previous artifacts outright where their inputs are
-    /// bit-identical and replaying memoized evaluations everywhere else.
-    /// The result is bitwise identical to a cold [`run`](Self::run) on the
-    /// same data. When the previous artifacts came from a different
-    /// workload, hyperparameter set, hardware spec, or seed, every stage
-    /// recomputes (and a changed workload/seed also clears the memo — the
-    /// full-refit fallback).
+    /// Refit on (possibly grown) recordings. When the environment, both
+    /// recordings and the artifact chain of `prev` all match, nothing
+    /// changed and `prev` is returned as is (`stages_reused = 4`);
+    /// otherwise every stage runs cold. Either way the result is bitwise
+    /// identical to a cold [`run`](Self::run) on the same data.
     pub fn refit(
-        &mut self,
+        &self,
         prev: &OfflineArtifacts,
         labeled: &Recording,
         unlabeled: &Recording,
     ) -> Result<(OfflineArtifacts, OfflineReport), SkyError> {
-        self.stats = MemoStats::default();
-        self.stages_reused = 0;
-        let labeled_fp = recording_fingerprint(labeled);
-        let unlabeled_fp = recording_fingerprint(unlabeled);
-        let env_ok = self.env_matches(&prev.profile.meta);
-
-        let profile = if env_ok
-            && prev.profile.meta.labeled_fp == labeled_fp
-            && prev.profile.meta.unlabeled_fp == unlabeled_fp
-        {
-            self.stages_reused += 1;
-            prev.profile.clone()
-        } else {
-            self.profile(labeled, unlabeled)?
+        if !self.is_current(prev, labeled, unlabeled) {
+            return self.run(labeled, unlabeled);
+        }
+        let report = OfflineReport {
+            stages_reused: 4,
+            ..self.report(prev)
         };
+        Ok((prev.clone(), report))
+    }
 
-        let category = if env_ok
-            && prev.category.meta.unlabeled_fp == unlabeled_fp
-            && prev.category.meta.upstream_fp == profile.fingerprint()
-        {
-            self.stages_reused += 1;
-            prev.category.clone()
-        } else {
-            self.categorize(unlabeled, &profile)?
-        };
-
-        let forecast = if env_ok
-            && prev.forecast.meta.unlabeled_fp == unlabeled_fp
-            && prev.forecast.meta.upstream_fp == category.fingerprint()
-        {
-            self.stages_reused += 1;
-            prev.forecast.clone()
-        } else {
-            self.forecast(unlabeled, &profile, &category)?
-        };
-
-        let plan = if env_ok && prev.plan.meta.upstream_fp == forecast.fingerprint() {
-            self.stages_reused += 1;
-            prev.plan.clone()
-        } else {
-            self.plan(&profile, &category, &forecast)?
-        };
-
-        let artifacts = OfflineArtifacts {
+    /// Would a cold fit on `labeled` and `unlabeled` reproduce `prev`? True
+    /// when every stage was fitted in this environment on exactly these
+    /// recordings, each from the upstream artifact `prev` holds.
+    fn is_current(
+        &self,
+        prev: &OfflineArtifacts,
+        labeled: &Recording,
+        unlabeled: &Recording,
+    ) -> bool {
+        let (labeled_fp, unlabeled_fp) = (
+            recording_fingerprint(labeled),
+            recording_fingerprint(unlabeled),
+        );
+        let OfflineArtifacts {
             profile,
             category,
             forecast,
             plan,
-        };
-        let report = self.report(&artifacts);
-        Ok((artifacts, report))
+        } = prev;
+        [&profile.meta, &category.meta, &forecast.meta, &plan.meta]
+            .iter()
+            .all(|m| {
+                self.env_matches(m) && m.labeled_fp == labeled_fp && m.unlabeled_fp == unlabeled_fp
+            })
+            && category.meta.upstream_fp == profile.fingerprint()
+            && forecast.meta.upstream_fp == category.fingerprint()
+            && plan.meta.upstream_fp == forecast.fingerprint()
     }
 
     fn report(&self, artifacts: &OfflineArtifacts) -> OfflineReport {
@@ -999,9 +905,7 @@ impl<'w, W: Workload + ?Sized> OfflinePipeline<'w, W> {
             forecast_mae: artifacts.forecast.forecaster.val_mae,
             n_train_samples: artifacts.forecast.n_train_samples,
             n_workers: self.pool.size(),
-            memo_hits: self.stats.hits,
-            memo_misses: self.stats.misses,
-            stages_reused: self.stages_reused,
+            stages_reused: 0,
         }
     }
 }
@@ -1058,7 +962,7 @@ mod tests {
     fn staged_run_matches_monolithic_wrapper() {
         let w = ToyWorkload::new();
         let (labeled, unlabeled, _) = data(86_400.0);
-        let mut p = pipeline(&w);
+        let p = pipeline(&w);
         let profile = p.profile(&labeled, &unlabeled).expect("profile");
         let category = p.categorize(&unlabeled, &profile).expect("categorize");
         let forecast = p
@@ -1087,7 +991,7 @@ mod tests {
     fn stale_artifacts_are_rejected() {
         let w = ToyWorkload::new();
         let (labeled, unlabeled, extended) = data(43_200.0);
-        let mut p = pipeline(&w);
+        let p = pipeline(&w);
         let profile = p.profile(&labeled, &unlabeled).expect("profile");
 
         // Different data under the same artifact → stale.
@@ -1095,7 +999,7 @@ mod tests {
         assert!(matches!(err, SkyError::StaleArtifact { .. }));
 
         // Different hyperparameters → stale environment.
-        let mut p2 = OfflinePipeline::new(
+        let p2 = OfflinePipeline::new(
             &w,
             HardwareSpec::with_cores(4),
             SkyscraperConfig {
@@ -1120,12 +1024,19 @@ mod tests {
     fn refit_on_identical_data_reuses_every_stage() {
         let w = ToyWorkload::new();
         let (labeled, unlabeled, _) = data(43_200.0);
-        let mut p = pipeline(&w);
+        let p = pipeline(&w);
         let (arts, cold) = p.run(&labeled, &unlabeled).expect("cold run");
         assert_eq!(cold.stages_reused, 0);
         let (rearts, warm) = p.refit(&arts, &labeled, &unlabeled).expect("warm refit");
-        assert_eq!(warm.stages_reused, 4, "nothing changed — reuse everything");
-        assert_eq!(warm.memo_hits + warm.memo_misses, 0, "no evaluation ran");
+        assert_eq!(
+            warm.stages_reused, 4,
+            "nothing changed — reuse everything, run nothing"
+        );
+        assert_eq!(
+            warm.total_secs(),
+            cold.total_secs(),
+            "the report carries the previous fit's timings: no stage ran"
+        );
         assert_eq!(
             rearts.plan.model.fingerprint(),
             arts.plan.model.fingerprint()
@@ -1137,57 +1048,40 @@ mod tests {
         let w = ToyWorkload::new();
         let (labeled, unlabeled, extended) = data(43_200.0);
 
-        // Warm path: fit on the base recording, then refit on the extended
-        // one, replaying the memo.
-        let mut warm_pipeline = pipeline(&w);
+        // Refit path: fit on the base recording, then refit on the extended
+        // one.
+        let warm_pipeline = pipeline(&w);
         let (base_arts, _) = warm_pipeline.run(&labeled, &unlabeled).expect("base fit");
         let (warm_arts, warm_report) = warm_pipeline
             .refit(&base_arts, &labeled, &extended)
             .expect("warm refit");
 
         // Cold path: a fresh pipeline fits the extended recording directly.
-        let mut cold_pipeline = pipeline(&w);
-        let (cold_arts, cold_report) = cold_pipeline.run(&labeled, &extended).expect("cold fit");
+        let cold_pipeline = pipeline(&w);
+        let (cold_arts, _) = cold_pipeline.run(&labeled, &extended).expect("cold fit");
 
         assert_eq!(
             warm_arts.plan.model.fingerprint(),
             cold_arts.plan.model.fingerprint(),
             "incremental refit must be bitwise identical to a cold fit"
         );
-        assert!(
-            warm_report.memo_hits > 0,
-            "the shared prefix must replay from the memo"
-        );
-        assert_eq!(cold_report.memo_hits, 0, "cold fit starts from nothing");
-        assert!(
-            warm_report.memo_misses < cold_report.memo_misses,
-            "warm refit must compute strictly less: {} vs {}",
-            warm_report.memo_misses,
-            cold_report.memo_misses
-        );
+        assert_eq!(warm_report.stages_reused, 0, "grown data is a cold fit");
     }
 
     #[test]
     fn changed_seed_falls_back_to_full_refit() {
         let w = ToyWorkload::new();
         let (labeled, unlabeled, _) = data(43_200.0);
-        let mut p = pipeline(&w);
+        let p = pipeline(&w);
         let (arts, _) = p.run(&labeled, &unlabeled).expect("fit");
-        let memo_before = p.memo().len();
-        assert!(memo_before > 0);
 
-        let mut reseeded = OfflinePipeline::new(
+        let reseeded = OfflinePipeline::new(
             &w,
             HardwareSpec::with_cores(4),
             SkyscraperConfig {
                 seed: 43,
                 ..SkyscraperConfig::fast_test()
             },
-        )
-        .with_memo(p.into_memo());
-        assert!(
-            reseeded.memo().is_empty(),
-            "a reseeded pipeline must clear the memo"
         );
         let (rearts, report) = reseeded.refit(&arts, &labeled, &unlabeled).expect("refit");
         assert_eq!(report.stages_reused, 0, "stale artifacts are not reused");

@@ -13,11 +13,10 @@
 //!   [`FittedModel`](super::FittedModel)s, whatever the scheduling;
 //! * re-evaluating the same `(config, content)` pair anywhere in the phase
 //!   reproduces the same noisy quality draw, which is what makes the
-//!   profile memoization cache sound;
-//! * an evaluation memoized during one fit can be replayed verbatim in a
-//!   later fit on *extended* data (the [`EvalMemo`](super::memo::EvalMemo)
-//!   behind incremental refit) — a cache hit is bitwise identical to a
-//!   recomputation by construction.
+//!   per-segment hill-climb cache sound;
+//! * a segment draws the same noise in a fit on the original recording and
+//!   in a fit on a grown one, so appending segments leaves the draws of the
+//!   shared prefix unchanged.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -87,8 +87,8 @@ pub trait Workload: Send + Sync {
 
     /// Stable identity of this workload: name, segment length, and the full
     /// knob registry (names, domains). The knowledge base scopes persisted
-    /// artifacts and memoized evaluations to this fingerprint — changing the
-    /// knob space triggers the full-refit fallback. Workloads whose
+    /// artifacts to this fingerprint — changing the knob space makes a
+    /// refit run cold. Workloads whose
     /// cost/quality responses have additional tunable parameters should
     /// override this and fold those in.
     fn fingerprint(&self) -> u64 {

@@ -88,9 +88,8 @@ impl WorkloadSpec {
     /// unlabeled recording: the same camera kept recording for another
     /// `growth` × the unlabeled duration after the first harvest, so the
     /// extension's prefix is bit-identical to `spec.unlabeled`. This is the
-    /// input shape of incremental refit (fit on `spec.unlabeled`, refit on
-    /// the extension) — used by the `offline_refit` bench and the
-    /// knowledge-base property tests.
+    /// input shape of a refit on grown data (fit on `spec.unlabeled`, refit
+    /// on the extension).
     pub fn build_grown(
         which: PaperWorkload,
         scale: DataScale,

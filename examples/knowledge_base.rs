@@ -1,4 +1,4 @@
-//! Knowledge-base persistence and incremental refit.
+//! Knowledge-base persistence and refit.
 //!
 //! ```text
 //! cargo run --release --example knowledge_base
@@ -8,14 +8,14 @@
 //! paper). This example shows the three ways the knowledge base avoids
 //! paying it repeatedly:
 //!
-//! 1. **fit → save**: one process fits and persists model + artifacts +
-//!    evaluation memo to a directory.
+//! 1. **fit → save**: one process fits and persists model + artifacts to a
+//!    directory.
 //! 2. **load → serve**: a "restarted server" loads the model and opens
 //!    ingest sessions immediately — no offline prep at all — and produces
 //!    bitwise-identical results.
-//! 3. **refit**: when the historical recording has grown, `refit` reuses
-//!    unchanged stages and replays memoized evaluations; the result is
-//!    bitwise identical to a cold fit on the grown data, only faster.
+//! 3. **refit**: reuse if nothing changed, else a cold fit. A refit on
+//!    unchanged data reuses all four stages and runs none; a refit on a
+//!    grown recording is bitwise identical to a cold fit on it.
 
 use std::time::Instant;
 
@@ -53,13 +53,14 @@ fn main() {
     sky.set_hyperparameters(hyper.clone());
     let t0 = Instant::now();
     let report = sky.fit(&labeled, &unlabeled).expect("offline fit");
-    let cold_secs = t0.elapsed().as_secs_f64();
     println!(
-        "fit: {} configs, {} categories in {cold_secs:.2}s ({} evaluations)",
-        report.n_configs, report.n_categories, report.memo_misses
+        "fit: {} configs, {} categories in {:.2}s",
+        report.n_configs,
+        report.n_categories,
+        t0.elapsed().as_secs_f64()
     );
     sky.save_model(&kb_dir).expect("save");
-    println!("saved model + artifacts + memo to {}", kb_dir.display());
+    println!("saved model + artifacts to {}", kb_dir.display());
     let reference = sky.ingest(live.segments()).expect("reference run");
 
     // ---- 2. load → serve (a fresh process after a restart). ----
@@ -103,13 +104,24 @@ fn main() {
     assert_eq!(outcome.switches, ref_outcome.switches);
     let _ = reference;
 
-    // ---- 3. incremental refit on the grown recording. ----
-    let t0 = Instant::now();
-    let warm = restarted.refit(&labeled, &grown).expect("warm refit");
-    let warm_secs = t0.elapsed().as_secs_f64();
+    // ---- 3. refit: reuse when nothing changed, else a cold fit. ----
+    let same = restarted
+        .refit(&labeled, &unlabeled)
+        .expect("refit on unchanged data");
+    assert_eq!(same.stages_reused, 4, "unchanged inputs reuse every stage");
     println!(
-        "warm refit on +6h of data: {warm_secs:.2}s — {} evaluations replayed from the memo, {} computed fresh",
-        warm.memo_hits, warm.memo_misses
+        "refit on unchanged data: all {} stages reused, nothing ran",
+        same.stages_reused
+    );
+
+    let t0 = Instant::now();
+    let grown_report = restarted
+        .refit(&labeled, &grown)
+        .expect("refit on grown data");
+    println!(
+        "refit on +6h of data: {:.2}s, {} stages reused (a cold fit)",
+        t0.elapsed().as_secs_f64(),
+        grown_report.stages_reused
     );
 
     // The refit result is bitwise identical to fitting the grown recording
@@ -117,19 +129,13 @@ fn main() {
     let mut cold = Skyscraper::new(EvWorkload::new());
     cold.set_resources(4, 4_000.0, 1.0);
     cold.set_hyperparameters(hyper);
-    let t0 = Instant::now();
     cold.fit(&labeled, &grown).expect("cold fit on grown data");
-    let cold_grown_secs = t0.elapsed().as_secs_f64();
     assert_eq!(
         restarted.model().unwrap().fingerprint(),
         cold.model().unwrap().fingerprint(),
-        "incremental refit == cold fit, bitwise"
+        "refit == cold fit, bitwise"
     );
-    println!(
-        "cold fit on the same grown data: {cold_grown_secs:.2}s — identical model, \
-         {:.1}x the warm-refit time",
-        cold_grown_secs / warm_secs.max(1e-9)
-    );
+    println!("cold fit on the same grown data: identical model");
 
     let _ = std::fs::remove_dir_all(&kb_dir);
 }

@@ -15,7 +15,7 @@
 //! `Skyscraper::fit` wraps exactly this pipeline; here the stages run one
 //! by one so their outputs are visible. The fitted model is saved to a
 //! knowledge base at the end — see `examples/knowledge_base.rs` for
-//! reloading it and refitting incrementally.
+//! reloading it and refitting.
 
 use vetl::prelude::*;
 
@@ -39,7 +39,7 @@ fn main() {
     let unlabeled = Recording::record(&mut camera, 2.0 * 86_400.0);
 
     // ---- The staged offline pipeline (§3). ----
-    let mut pipeline = OfflinePipeline::new(&workload, hardware, hyper.clone());
+    let pipeline = OfflinePipeline::new(&workload, hardware, hyper.clone());
 
     println!("stage 1/4: filter knob configurations + placements (App. A)…");
     let profile = pipeline
@@ -86,7 +86,7 @@ fn main() {
 
     // Hand the fitted model to the facade and go live: ingest six hours.
     // (`sky.fit(&labeled, &unlabeled)` runs the identical pipeline in one
-    // call; the staged form exists for persistence and incremental refit.)
+    // call; the staged form exists for persistence and refit.)
     let mut sky = Skyscraper::new(workload);
     sky.set_hardware(hardware);
     sky.set_hyperparameters(hyper);
@@ -120,7 +120,7 @@ fn main() {
     );
     assert_eq!(out.overflows, 0);
 
-    // Persist everything for the next process — model, artifacts, memo.
+    // Persist everything for the next process — model and artifacts.
     let kb_dir = std::env::temp_dir().join("vetl-quickstart-kb");
     sky.save_model(&kb_dir).expect("save model");
     println!("model saved to {}", kb_dir.display());
