@@ -30,11 +30,10 @@ use std::path::Path;
 use vetl_sim::{CostModel, HardwareSpec};
 use vetl_video::{Recording, Segment};
 
+use crate::category::ClusteringAlgo;
 use crate::config::SkyscraperConfig;
 use crate::error::SkyError;
-use crate::offline::{
-    FittedModel, KnowledgeBase, OfflineArtifacts, OfflinePipeline, OfflineReport,
-};
+use crate::offline::{run_offline, FitStamp, FittedModel, KnowledgeBase, OfflineReport};
 use crate::online::session::{IngestOptions, IngestOutcome, IngestSession};
 use crate::workload::Workload;
 
@@ -45,10 +44,10 @@ pub struct Skyscraper<W: Workload> {
     hyper: SkyscraperConfig,
     options: IngestOptions,
     model: Option<FittedModel>,
-    /// Staged artifacts of the last fit (fuel for [`Self::refit`] and
-    /// [`Self::save_model`]); absent after [`Self::load_model`] of a bare
-    /// model file.
-    artifacts: Option<OfflineArtifacts>,
+    /// What `model` was fitted from and the fit's report (fuel for
+    /// [`Self::refit`] and [`Self::save_model`]); absent after
+    /// [`Self::load_model`] of a bare model file.
+    fit: Option<(FitStamp, OfflineReport)>,
 }
 
 impl<W: Workload> Skyscraper<W> {
@@ -62,7 +61,7 @@ impl<W: Workload> Skyscraper<W> {
             hyper: SkyscraperConfig::default(),
             options: IngestOptions::default(),
             model: None,
-            artifacts: None,
+            fit: None,
         }
     }
 
@@ -153,70 +152,83 @@ impl<W: Workload> Skyscraper<W> {
     }
 
     /// `sky.fit(labeled_video, labels, unlabeled_video, proc_frame)` — run
-    /// the offline preparation phase (§3). A thin wrapper over the staged
-    /// [`OfflinePipeline`]: the artifacts are kept for [`Self::refit`] and
-    /// [`Self::save_model`].
+    /// the offline preparation phase (§3). The stamp of its inputs is kept
+    /// for [`Self::refit`] and [`Self::save_model`].
     pub fn fit(
         &mut self,
         labeled: &Recording,
         unlabeled: &Recording,
     ) -> Result<OfflineReport, SkyError> {
-        let (artifacts, report) = self.pipeline().run(labeled, unlabeled)?;
-        self.model = Some(artifacts.model().clone());
-        self.artifacts = Some(artifacts);
+        let (model, report) = run_offline(
+            &self.workload,
+            labeled,
+            unlabeled,
+            self.hardware,
+            &self.hyper,
+        )?;
+        self.model = Some(model);
+        self.fit = Some((self.stamp(labeled, unlabeled), report.clone()));
         Ok(report)
     }
 
     /// Refit on (typically grown) recordings: when nothing changed since
     /// the last fit — same recordings, knob space, hardware and
-    /// hyperparameters — the previous fit is kept as is (the report says
-    /// `stages_reused = 4`); otherwise this is a cold [`Self::fit`]. Either
-    /// way the model is bitwise identical to a cold fit on the same data.
+    /// hyperparameters, so the same [`FitStamp`] — the previous fit is kept
+    /// and its report returned with `reused = true`; otherwise this is a
+    /// cold [`Self::fit`]. Either way the model is bitwise identical to a
+    /// cold fit on the same data.
     pub fn refit(
         &mut self,
         labeled: &Recording,
         unlabeled: &Recording,
     ) -> Result<OfflineReport, SkyError> {
-        let Some(prev) = self.artifacts.take() else {
-            return self.fit(labeled, unlabeled);
-        };
-        match self.pipeline().refit(&prev, labeled, unlabeled) {
-            Ok((artifacts, report)) => {
-                self.model = Some(artifacts.model().clone());
-                self.artifacts = Some(artifacts);
-                Ok(report)
-            }
-            Err(e) => {
-                // The previous fit is still valid — keep it so a corrected
-                // retry on the same data can reuse it.
-                self.artifacts = Some(prev);
-                Err(e)
-            }
+        let stamp = self.stamp(labeled, unlabeled);
+        match &self.fit {
+            Some((kept, report)) if *kept == stamp => Ok(OfflineReport {
+                reused: true,
+                ..report.clone()
+            }),
+            _ => self.fit(labeled, unlabeled),
         }
     }
 
+    fn stamp(&self, labeled: &Recording, unlabeled: &Recording) -> FitStamp {
+        FitStamp::new(
+            &self.workload,
+            &self.hardware,
+            &self.hyper,
+            ClusteringAlgo::KMeans,
+            labeled,
+            unlabeled,
+        )
+    }
+
     /// Persist the fitted state to a [`KnowledgeBase`] directory: always
-    /// the model itself, plus — when this instance fitted it — the staged
-    /// artifacts, so a later process can both skip offline prep entirely
-    /// ([`Self::load_model`]) and [`Self::refit`] without re-running an
-    /// unchanged fit.
+    /// the model itself (`model.kb`), plus — when this instance fitted it —
+    /// the stamp and report of that fit (`fit.kb`), so a later process can
+    /// both skip offline prep entirely ([`Self::load_model`]) and
+    /// [`Self::refit`] without re-running an unchanged fit. A `fit.kb` left
+    /// by an earlier save is removed, so the directory always describes one
+    /// fit.
     pub fn save_model(&self, path: impl AsRef<Path>) -> Result<(), SkyError> {
         let model = self.model()?;
         let kb = KnowledgeBase::open(path.as_ref())?;
         kb.save_model(model)?;
-        if let Some(artifacts) = &self.artifacts {
-            kb.save_artifacts(artifacts)?;
+        match &self.fit {
+            Some((stamp, report)) => kb.save_fit(model, stamp, report),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Load a previously saved model from a [`KnowledgeBase`] directory,
     /// skipping offline preparation entirely. The stored hardware spec and
     /// hyperparameters travel with the model and are installed on this
     /// instance so sessions behave exactly as they would have on the
-    /// fitting process. Staged artifacts are picked up too when present, so
-    /// a [`Self::refit`] on unchanged data reuses them. Any other file in
-    /// the directory (such as an old `memo.kb`) is ignored.
+    /// fitting process. A `fit.kb` is picked up too when present, so a
+    /// [`Self::refit`] on unchanged data keeps the model. Any other file in
+    /// the directory (such as an old `plan.kb` or `memo.kb`) is ignored.
+    ///
+    /// All or nothing: on any error this instance is left as it was.
     pub fn load_model(&mut self, path: impl AsRef<Path>) -> Result<&mut Self, SkyError> {
         let kb = KnowledgeBase::open_existing(path.as_ref())?;
         let model = kb.load_model()?;
@@ -238,33 +250,21 @@ impl<W: Workload> Skyscraper<W> {
                 what: "persisted configurations fall outside this workload's knob space",
             });
         }
+        let fit = kb.load_fit(&model)?;
+        if fit
+            .as_ref()
+            .is_some_and(|(stamp, _)| stamp.workload_fp != self.workload.fingerprint())
+        {
+            return Err(SkyError::StaleArtifact {
+                what: "persisted model was fitted on a different workload \
+                       (name matches, knob registry or semantics changed)",
+            });
+        }
         self.hardware = model.hardware;
         self.hyper = model.hyper.clone();
-        self.artifacts = if kb.has_artifacts() {
-            let artifacts = kb.load_artifacts()?;
-            if artifacts.profile.meta.workload_fp != self.workload.fingerprint() {
-                return Err(SkyError::StaleArtifact {
-                    what: "persisted artifacts were fitted on a different workload \
-                           (name matches, knob registry or semantics changed)",
-                });
-            }
-            if artifacts.plan.model.fingerprint() != model.fingerprint() {
-                return Err(SkyError::CorruptKnowledgeBase {
-                    detail: "model.kb does not match the persisted plan artifact \
-                             (torn save?)"
-                        .to_string(),
-                });
-            }
-            Some(artifacts)
-        } else {
-            None
-        };
+        self.fit = fit;
         self.model = Some(model);
         Ok(self)
-    }
-
-    fn pipeline(&self) -> OfflinePipeline<'_, W> {
-        OfflinePipeline::new(&self.workload, self.hardware, self.hyper.clone())
     }
 
     /// The fitted model (after [`Self::fit`] / [`Self::load_model`]).
@@ -272,9 +272,10 @@ impl<W: Workload> Skyscraper<W> {
         self.model.as_ref().ok_or(SkyError::NotFitted)
     }
 
-    /// The staged artifacts of the last fit, when available.
-    pub fn artifacts(&self) -> Option<&OfflineArtifacts> {
-        self.artifacts.as_ref()
+    /// The stamp of the last fit's inputs, when this instance fitted its
+    /// model or loaded it with a `fit.kb`.
+    pub fn fit_stamp(&self) -> Option<FitStamp> {
+        self.fit.as_ref().map(|(stamp, _)| *stamp)
     }
 
     /// Open a streaming ingestion session — the paper's
@@ -361,9 +362,10 @@ mod tests {
             sky.model().unwrap().fingerprint(),
             "loaded model must be bitwise identical"
         );
-        assert!(
-            sky2.artifacts().is_some(),
-            "artifacts travel with the model"
+        assert_eq!(
+            sky2.fit_stamp(),
+            sky.fit_stamp(),
+            "the fit's stamp travels with the model"
         );
         let loaded_out = sky2.ingest(online.segments()).expect("ingest on loaded");
         assert_eq!(
@@ -372,10 +374,74 @@ mod tests {
         );
         assert_eq!(loaded_out.segments, fitted_out.segments);
 
-        // Refit on the same data reuses everything.
+        // Refit on the same data keeps the loaded fit.
         let report = sky2.refit(&labeled, &unlabeled).expect("refit");
-        assert_eq!(report.stages_reused, 4);
+        assert!(report.reused);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn toy_sky(hyper: SkyscraperConfig) -> Skyscraper<ToyWorkload> {
+        let mut sky = Skyscraper::new(ToyWorkload::new());
+        sky.set_resources(4, 4000.0, 1.0);
+        sky.set_hyperparameters(hyper);
+        sky
+    }
+
+    fn half_day() -> (Recording, Recording) {
+        let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(3), 2.0);
+        let labeled = Recording::record(&mut cam, 20.0 * 60.0);
+        (labeled, Recording::record(&mut cam, 43_200.0))
+    }
+
+    #[test]
+    fn refit_on_identical_data_reuses_the_fit() {
+        let (labeled, unlabeled) = half_day();
+        let mut sky = toy_sky(SkyscraperConfig::fast_test());
+        let cold = sky.fit(&labeled, &unlabeled).expect("cold fit");
+        assert!(!cold.reused);
+        let fitted = sky.model().unwrap().fingerprint();
+        let warm = sky.refit(&labeled, &unlabeled).expect("warm refit");
+        assert!(warm.reused, "nothing changed — keep the fit, run nothing");
+        assert_eq!(
+            OfflineReport {
+                reused: false,
+                ..warm
+            },
+            cold,
+            "the report is the previous fit's: no step ran"
+        );
+        assert_eq!(sky.model().unwrap().fingerprint(), fitted);
+    }
+
+    #[test]
+    fn changed_seed_falls_back_to_a_cold_fit() {
+        let (labeled, unlabeled) = half_day();
+        let mut sky = toy_sky(SkyscraperConfig::fast_test());
+        sky.fit(&labeled, &unlabeled).expect("fit");
+        let before = sky.model().unwrap().fingerprint();
+        let stamp = sky.fit_stamp();
+
+        let reseeded = SkyscraperConfig {
+            seed: 43,
+            ..SkyscraperConfig::fast_test()
+        };
+        sky.set_hyperparameters(reseeded.clone());
+        let report = sky.refit(&labeled, &unlabeled).expect("refit");
+        assert!(!report.reused, "a changed seed is a cold fit");
+        assert_ne!(sky.fit_stamp(), stamp);
+        assert_ne!(
+            sky.model().unwrap().fingerprint(),
+            before,
+            "a different seed draws different noise"
+        );
+
+        // The cold refit is the cold fit, bit for bit.
+        let mut cold = toy_sky(reseeded);
+        cold.fit(&labeled, &unlabeled).expect("cold fit");
+        assert_eq!(
+            sky.model().unwrap().fingerprint(),
+            cold.model().unwrap().fingerprint()
+        );
     }
 
     #[test]
@@ -387,7 +453,7 @@ mod tests {
         sky.set_resources(4, 4000.0, 1.0);
         sky.set_hyperparameters(SkyscraperConfig::fast_test());
         let report = sky.refit(&labeled, &unlabeled).expect("refit-as-fit");
-        assert_eq!(report.stages_reused, 0);
+        assert!(!report.reused);
         assert!(sky.model().is_ok());
     }
 

@@ -129,17 +129,15 @@ pub enum SkyError {
     /// A persisted knowledge-base artifact was written by an incompatible
     /// codec version.
     ArtifactVersionMismatch {
-        /// Artifact kind ("profile", "category", "forecast", "plan",
-        /// "model").
+        /// File kind ("model" or "fit").
         kind: &'static str,
         /// Version found in the file.
         found: u16,
         /// Version this build reads and writes.
         supported: u16,
     },
-    /// A knowledge-base artifact does not match the pipeline's current
-    /// inputs (different workload, hyperparameters, hardware, data, or a
-    /// broken upstream-artifact chain) and must be recomputed.
+    /// A persisted model does not belong to this instance's workload
+    /// (different name, knob space or knob registry) and must be refitted.
     StaleArtifact {
         /// What went stale.
         what: &'static str,
@@ -315,7 +313,7 @@ impl std::fmt::Display for SkyError {
             ),
             SkyError::StaleArtifact { what } => write!(
                 f,
-                "stale artifact: {what} no longer matches the pipeline inputs; rerun the stage"
+                "stale knowledge base: {what}; refit instead of loading it"
             ),
             SkyError::CorruptKnowledgeBase { detail } => {
                 write!(f, "corrupt knowledge base: {detail}")
@@ -402,14 +400,14 @@ mod tests {
             .to_string()
             .contains("install_plan"));
         let e = SkyError::ArtifactVersionMismatch {
-            kind: "profile",
+            kind: "fit",
             found: 9,
             supported: 1,
         };
-        assert!(e.to_string().contains("profile"));
+        assert!(e.to_string().contains("fit"));
         assert!(e.to_string().contains('9'));
         let e = SkyError::StaleArtifact {
-            what: "category artifact",
+            what: "persisted model belongs to a different workload",
         };
         assert!(e.to_string().contains("stale"));
         let e = SkyError::CorruptKnowledgeBase {
@@ -534,7 +532,7 @@ mod tests {
                 found: 2,
                 supported: 1,
             },
-            SkyError::StaleArtifact { what: "plan" },
+            SkyError::StaleArtifact { what: "model" },
             SkyError::CorruptKnowledgeBase {
                 detail: "bad magic".into(),
             },

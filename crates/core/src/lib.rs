@@ -17,16 +17,15 @@
 //!
 //! ## Architecture
 //!
-//! * [`offline`] — the preparation phase (§3), staged as an artifact
-//!   pipeline (`ProfileArtifact → CategoryArtifact → ForecastArtifact →
-//!   PlanArtifact`): diverse segment sampling and greedy hill-climbing to
+//! * [`offline`] — the preparation phase (§3), one fit producing one
+//!   [`FittedModel`]: diverse segment sampling and greedy hill-climbing to
 //!   filter knob configurations to a work/quality Pareto set (Appendix A.1),
 //!   exhaustive/beam placement search over the Appendix-M simulator filtered
 //!   to the cost/runtime Pareto set (Appendix A.2), KMeans content
 //!   categorization over quality vectors (§3.2), and training of the
-//!   feed-forward forecaster (§3.3, Appendix H). Artifacts persist to a
-//!   [`KnowledgeBase`]; a refit reuses them if nothing changed and
-//!   otherwise fits cold.
+//!   feed-forward forecaster (§3.3, Appendix H). The model persists to a
+//!   [`KnowledgeBase`] beside the [`FitStamp`] of its inputs; a refit keeps
+//!   it when the stamp is unchanged and otherwise fits cold.
 //! * [`online`] — the ingestion phase (§4): the predictive **knob planner**
 //!   solving the LP of Eqs. 2–4 every planned interval, the reactive
 //!   **knob switcher** implementing Eqs. 5–6 with the buffer-overflow
@@ -99,10 +98,7 @@ pub use obs::{
     Clock, FlightRecorder, ManualClock, MetricsRegistry, MetricsSnapshot, MonotonicClock, Obs,
     TraceEvent,
 };
-pub use offline::{
-    run_offline, CategoryArtifact, FittedModel, ForecastArtifact, KnowledgeBase, OfflineArtifacts,
-    OfflinePipeline, OfflineReport, PlanArtifact, ProfileArtifact,
-};
+pub use offline::{run_offline, FitStamp, FittedModel, KnowledgeBase, OfflineReport};
 pub use online::plan::KnobPlan;
 pub use online::planner::plan_knobs;
 pub use online::session::{

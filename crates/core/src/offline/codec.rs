@@ -21,10 +21,7 @@ use vetl_ml::{Activation, Layer, Matrix, Mlp};
 use vetl_sim::{CloudSpec, ClusterSpec, HardwareSpec, NodeId, Placement};
 
 use super::forecast::{CategoryTimeline, ForecastSpec, Forecaster};
-use super::pipeline::{
-    ArtifactMeta, CategoryArtifact, ForecastArtifact, PlanArtifact, ProfileArtifact,
-};
-use super::FittedModel;
+use super::{FitStamp, FittedModel, OfflineReport};
 use crate::category::ContentCategories;
 use crate::config::SkyscraperConfig;
 use crate::fingerprint::Fnv;
@@ -219,30 +216,6 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 // ---------------------------------------------------------------------
 // Domain types.
 // ---------------------------------------------------------------------
-
-fn enc_meta(e: &mut Enc, m: &ArtifactMeta) {
-    e.str(&m.workload);
-    e.u64(m.workload_fp);
-    e.u64(m.hyper_fp);
-    e.u64(m.hardware_fp);
-    e.u64(m.seed);
-    e.u64(m.labeled_fp);
-    e.u64(m.unlabeled_fp);
-    e.u64(m.upstream_fp);
-}
-
-fn dec_meta(d: &mut Dec) -> DecodeResult<ArtifactMeta> {
-    Ok(ArtifactMeta {
-        workload: d.str("meta.workload")?,
-        workload_fp: d.u64("meta.workload_fp")?,
-        hyper_fp: d.u64("meta.hyper_fp")?,
-        hardware_fp: d.u64("meta.hardware_fp")?,
-        seed: d.u64("meta.seed")?,
-        labeled_fp: d.u64("meta.labeled_fp")?,
-        unlabeled_fp: d.u64("meta.unlabeled_fp")?,
-        upstream_fp: d.u64("meta.upstream_fp")?,
-    })
-}
 
 fn enc_config(e: &mut Enc, c: &KnobConfig) {
     e.usizes(c.indices());
@@ -630,139 +603,55 @@ pub(crate) fn expect_finished(d: &Dec, what: &str) -> DecodeResult<()> {
     }
 }
 
-/// Encode a profile artifact.
-pub(crate) fn encode_profile(a: &ProfileArtifact) -> Vec<u8> {
+/// Encode a fit record: the stamp of the fit's inputs, the fingerprint of
+/// the model it produced, and its report (all but `reused`).
+pub(crate) fn encode_fit(stamp: &FitStamp, model_fp: u64, r: &OfflineReport) -> Vec<u8> {
     let mut e = Enc::new();
-    enc_meta(&mut e, &a.meta);
-    e.usize(a.configs.len());
-    for p in &a.configs {
-        enc_config_profile(&mut e, p);
+    e.u64(stamp.workload_fp);
+    e.u64(stamp.inputs_fp);
+    e.u64(model_fp);
+    for secs in [
+        r.filter_configs_secs,
+        r.filter_placements_secs,
+        r.categorize_secs,
+        r.forecast_data_secs,
+        r.train_secs,
+    ] {
+        e.f64(secs);
     }
-    e.f64(a.filter_configs_secs);
-    e.f64(a.filter_placements_secs);
+    e.usize(r.n_configs);
+    e.usize(r.n_placements);
+    e.usize(r.n_categories);
+    e.f64(r.forecast_mae);
+    e.usize(r.n_train_samples);
+    e.usize(r.n_workers);
     e.into_bytes()
 }
 
-/// Decode a profile artifact.
-pub(crate) fn decode_profile(bytes: &[u8]) -> DecodeResult<ProfileArtifact> {
+/// Decode a fit record written by [`encode_fit`].
+pub(crate) fn decode_fit(bytes: &[u8]) -> DecodeResult<(FitStamp, u64, OfflineReport)> {
     let mut d = Dec::new(bytes);
-    let meta = dec_meta(&mut d)?;
-    let n = d.len(1, "profile configs")?;
-    let configs = (0..n)
-        .map(|_| dec_config_profile(&mut d))
-        .collect::<DecodeResult<Vec<_>>>()?;
-    let a = ProfileArtifact {
-        meta,
-        configs,
-        filter_configs_secs: d.f64("profile filter_configs_secs")?,
-        filter_placements_secs: d.f64("profile filter_placements_secs")?,
+    let stamp = FitStamp {
+        workload_fp: d.u64("fit workload_fp")?,
+        inputs_fp: d.u64("fit inputs_fp")?,
     };
-    expect_finished(&d, "profile artifact")?;
-    Ok(a)
-}
-
-/// Encode a category artifact.
-pub(crate) fn encode_category(a: &CategoryArtifact) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_meta(&mut e, &a.meta);
-    enc_categories(&mut e, &a.categories);
-    e.usize(a.qual_by_category.len());
-    for row in &a.qual_by_category {
-        e.f64s(row);
-    }
-    e.usize(a.cost_by_category.len());
-    for row in &a.cost_by_category {
-        e.f64s(row);
-    }
-    e.usizes(&a.quality_rank);
-    e.usizes(&a.cost_rank);
-    e.usize(a.discriminator);
-    e.f64(a.categorize_secs);
-    e.into_bytes()
-}
-
-/// Decode a category artifact.
-pub(crate) fn decode_category(bytes: &[u8]) -> DecodeResult<CategoryArtifact> {
-    let mut d = Dec::new(bytes);
-    let meta = dec_meta(&mut d)?;
-    let categories = dec_categories(&mut d)?;
-    let nq = d.len(8, "category qual rows")?;
-    let qual_by_category = (0..nq)
-        .map(|_| d.f64s("category qual row"))
-        .collect::<DecodeResult<Vec<_>>>()?;
-    let nc = d.len(8, "category cost rows")?;
-    let cost_by_category = (0..nc)
-        .map(|_| d.f64s("category cost row"))
-        .collect::<DecodeResult<Vec<_>>>()?;
-    let a = CategoryArtifact {
-        meta,
-        categories,
-        qual_by_category,
-        cost_by_category,
-        quality_rank: d.usizes("category quality_rank")?,
-        cost_rank: d.usizes("category cost_rank")?,
-        discriminator: d.usize("category discriminator")?,
-        categorize_secs: d.f64("category categorize_secs")?,
+    let model_fp = d.u64("fit model_fp")?;
+    let report = OfflineReport {
+        filter_configs_secs: d.f64("fit filter_configs_secs")?,
+        filter_placements_secs: d.f64("fit filter_placements_secs")?,
+        categorize_secs: d.f64("fit categorize_secs")?,
+        forecast_data_secs: d.f64("fit forecast_data_secs")?,
+        train_secs: d.f64("fit train_secs")?,
+        n_configs: d.usize("fit n_configs")?,
+        n_placements: d.usize("fit n_placements")?,
+        n_categories: d.usize("fit n_categories")?,
+        forecast_mae: d.f64("fit forecast_mae")?,
+        n_train_samples: d.usize("fit n_train_samples")?,
+        n_workers: d.usize("fit n_workers")?,
+        reused: false,
     };
-    expect_finished(&d, "category artifact")?;
-    Ok(a)
-}
-
-/// Encode a forecast artifact.
-pub(crate) fn encode_forecast(a: &ForecastArtifact) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_meta(&mut e, &a.meta);
-    enc_forecaster(&mut e, &a.forecaster);
-    enc_timeline(&mut e, &a.tail);
-    e.f64(a.residual_p99);
-    e.usize(a.n_train_samples);
-    e.f64(a.forecast_data_secs);
-    e.f64(a.train_secs);
-    e.into_bytes()
-}
-
-/// Decode a forecast artifact.
-pub(crate) fn decode_forecast(bytes: &[u8]) -> DecodeResult<ForecastArtifact> {
-    let mut d = Dec::new(bytes);
-    let a = ForecastArtifact {
-        meta: dec_meta(&mut d)?,
-        forecaster: dec_forecaster(&mut d)?,
-        tail: dec_timeline(&mut d)?,
-        residual_p99: d.f64("forecast residual_p99")?,
-        n_train_samples: d.usize("forecast n_train_samples")?,
-        forecast_data_secs: d.f64("forecast forecast_data_secs")?,
-        train_secs: d.f64("forecast train_secs")?,
-    };
-    expect_finished(&d, "forecast artifact")?;
-    Ok(a)
-}
-
-/// Encode a plan artifact.
-pub(crate) fn encode_plan_artifact(a: &PlanArtifact) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_meta(&mut e, &a.meta);
-    let model = encode_model(&a.model);
-    e.usize(model.len());
-    e.buf.extend_from_slice(&model);
-    enc_plan(&mut e, &a.seed_plan);
-    e.into_bytes()
-}
-
-/// Decode a plan artifact.
-pub(crate) fn decode_plan_artifact(bytes: &[u8]) -> DecodeResult<PlanArtifact> {
-    let mut d = Dec::new(bytes);
-    let meta = dec_meta(&mut d)?;
-    let model_len = d.len(1, "plan model")?;
-    let model_bytes = d.take(model_len, "plan model")?;
-    let model = decode_model(model_bytes)?;
-    let seed_plan = dec_plan(&mut d)?;
-    let a = PlanArtifact {
-        meta,
-        model,
-        seed_plan,
-    };
-    expect_finished(&d, "plan artifact")?;
-    Ok(a)
+    expect_finished(&d, "fit record")?;
+    Ok((stamp, model_fp, report))
 }
 
 #[cfg(test)]

@@ -1,18 +1,16 @@
-//! The on-disk knowledge base: persisted offline-phase artifacts.
-//!
-//! A knowledge base is a directory holding one file per artifact:
+//! The on-disk knowledge base: one fitted model and what it was fitted from.
 //!
 //! ```text
 //! <root>/
-//!   profile.kb    stage 1 — filtered configurations + placement profiles
-//!   category.kb   stage 2 — categories, ranks, discriminator
-//!   forecast.kb   stage 3 — forecaster, bootstrap tail, drift calibration
-//!   plan.kb       stage 4 — assembled FittedModel + seeded knob plan
-//!   model.kb      the FittedModel alone (written by save_model)
+//!   model.kb   the FittedModel
+//!   fit.kb     the FitStamp of the fit's inputs, the model's fingerprint and
+//!              the fit's OfflineReport — present only when the saving
+//!              process fitted the model itself
 //! ```
 //!
-//! Nothing else in the directory is read: a `memo.kb` that older versions
-//! wrote beside these files is ignored.
+//! Nothing else in the directory is read: the `profile.kb`, `category.kb`,
+//! `forecast.kb`, `plan.kb` and `memo.kb` that older versions wrote beside
+//! these files are ignored, and a refit beside them fits cold.
 //!
 //! Every file is framed as
 //!
@@ -33,8 +31,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use super::codec;
-use super::pipeline::OfflineArtifacts;
-use super::FittedModel;
+use super::{FitStamp, FittedModel, OfflineReport};
 use crate::error::SkyError;
 
 const MAGIC: &[u8; 5] = b"SKYKB";
@@ -43,38 +40,30 @@ const MAGIC: &[u8; 5] = b"SKYKB";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum Kind {
-    Profile = 1,
-    Category = 2,
-    Forecast = 3,
-    Plan = 4,
+    // Tags 1–4 (the staged profile, category, forecast and plan artifacts)
+    // and 6 (the evaluation memo) stay unused: old knowledge-base
+    // directories still hold such files.
     Model = 5,
-    // Tag 6 stays unused: it marked the evaluation memo (`memo.kb`), which
-    // old knowledge-base directories still hold.
+    Fit = 7,
 }
 
 impl Kind {
     fn name(self) -> &'static str {
         match self {
-            Kind::Profile => "profile",
-            Kind::Category => "category",
-            Kind::Forecast => "forecast",
-            Kind::Plan => "plan",
             Kind::Model => "model",
+            Kind::Fit => "fit",
         }
     }
 
     fn file(self) -> &'static str {
         match self {
-            Kind::Profile => "profile.kb",
-            Kind::Category => "category.kb",
-            Kind::Forecast => "forecast.kb",
-            Kind::Plan => "plan.kb",
             Kind::Model => "model.kb",
+            Kind::Fit => "fit.kb",
         }
     }
 }
 
-/// A directory-backed store of offline artifacts. See the module docs.
+/// A directory-backed store of one fitted model. See the module docs.
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     root: PathBuf,
@@ -143,13 +132,6 @@ impl KnowledgeBase {
     /// Does a persisted fitted model exist?
     pub fn has_model(&self) -> bool {
         self.file(Kind::Model).exists()
-    }
-
-    /// Do all four staged artifacts exist?
-    pub fn has_artifacts(&self) -> bool {
-        [Kind::Profile, Kind::Category, Kind::Forecast, Kind::Plan]
-            .iter()
-            .all(|&k| self.file(k).exists())
     }
 
     // ------------------------------------------------------------------
@@ -232,35 +214,58 @@ impl KnowledgeBase {
     }
 
     // ------------------------------------------------------------------
-    // Artifact accessors.
+    // Accessors.
     // ------------------------------------------------------------------
 
-    /// Persist all four staged artifacts (and nothing else).
-    pub fn save_artifacts(&self, artifacts: &OfflineArtifacts) -> Result<(), SkyError> {
-        self.write(Kind::Profile, &codec::encode_profile(&artifacts.profile))?;
-        self.write(Kind::Category, &codec::encode_category(&artifacts.category))?;
-        self.write(Kind::Forecast, &codec::encode_forecast(&artifacts.forecast))?;
-        self.write(Kind::Plan, &codec::encode_plan_artifact(&artifacts.plan))
-    }
-
-    /// Load all four staged artifacts.
-    pub fn load_artifacts(&self) -> Result<OfflineArtifacts, SkyError> {
-        Ok(OfflineArtifacts {
-            profile: self.decode(Kind::Profile, codec::decode_profile)?,
-            category: self.decode(Kind::Category, codec::decode_category)?,
-            forecast: self.decode(Kind::Forecast, codec::decode_forecast)?,
-            plan: self.decode(Kind::Plan, codec::decode_plan_artifact)?,
-        })
-    }
-
-    /// Persist a fitted model alone (`model.kb`).
+    /// Persist a fitted model (`model.kb`). A `fit.kb` that described the
+    /// model being replaced is removed first, so a crash at any point
+    /// leaves a directory that loads.
     pub fn save_model(&self, model: &FittedModel) -> Result<(), SkyError> {
-        self.write(Kind::Model, &codec::encode_model(model))
+        let fit = self.file(Kind::Fit);
+        match fs::remove_file(&fit) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(SkyError::KnowledgeBaseIo {
+                path: fit.display().to_string(),
+                detail: e.to_string(),
+            }),
+            _ => self.write(Kind::Model, &codec::encode_model(model)),
+        }
     }
 
     /// Load the fitted model (`model.kb`).
     pub fn load_model(&self) -> Result<FittedModel, SkyError> {
         self.decode(Kind::Model, codec::decode_model)
+    }
+
+    /// Record what `model` was fitted from (`fit.kb`): the stamp of its
+    /// inputs and the fit's report. Call after [`Self::save_model`].
+    pub fn save_fit(
+        &self,
+        model: &FittedModel,
+        stamp: &FitStamp,
+        report: &OfflineReport,
+    ) -> Result<(), SkyError> {
+        self.write(
+            Kind::Fit,
+            &codec::encode_fit(stamp, model.fingerprint(), report),
+        )
+    }
+
+    /// What `model` was fitted from, when a `fit.kb` records it. A `fit.kb`
+    /// written for another model is [`SkyError::CorruptKnowledgeBase`].
+    pub fn load_fit(
+        &self,
+        model: &FittedModel,
+    ) -> Result<Option<(FitStamp, OfflineReport)>, SkyError> {
+        if !self.file(Kind::Fit).exists() {
+            return Ok(None);
+        }
+        let (stamp, model_fp, report) = self.decode(Kind::Fit, codec::decode_fit)?;
+        if model_fp != model.fingerprint() {
+            return Err(SkyError::CorruptKnowledgeBase {
+                detail: "model.kb does not match fit.kb (torn save?)".to_string(),
+            });
+        }
+        Ok(Some((stamp, report)))
     }
 }
 
@@ -268,7 +273,6 @@ impl KnowledgeBase {
 mod tests {
     use super::*;
     use crate::config::SkyscraperConfig;
-    use crate::offline::pipeline::OfflinePipeline;
     use crate::offline::run_offline;
     use crate::testkit::ToyWorkload;
     use vetl_sim::HardwareSpec;
@@ -319,33 +323,48 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_roundtrip() {
-        let dir = tmpdir("arts");
+    fn fit_roundtrip_is_bitwise_and_bound_to_its_model() {
+        let dir = tmpdir("fit");
         let kb = KnowledgeBase::open(&dir).expect("open");
-        let w = ToyWorkload::new();
-        let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(3), 2.0);
-        let labeled = Recording::record(&mut cam, 20.0 * 60.0);
-        let unlabeled = Recording::record(&mut cam, 43_200.0);
-        let (arts, _) = OfflinePipeline::new(
-            &w,
-            HardwareSpec::with_cores(4),
-            SkyscraperConfig::fast_test(),
-        )
-        .run(&labeled, &unlabeled)
-        .expect("run");
+        let model = fit();
+        kb.save_model(&model).expect("save model");
+        assert!(kb.load_fit(&model).expect("no fit.kb").is_none());
 
-        kb.save_artifacts(&arts).expect("save artifacts");
-        assert!(kb.has_artifacts());
+        let stamp = FitStamp {
+            workload_fp: 0x0123_4567_89ab_cdef,
+            inputs_fp: u64::MAX,
+        };
+        let report = OfflineReport {
+            filter_configs_secs: 0.25,
+            filter_placements_secs: f64::MIN_POSITIVE,
+            categorize_secs: -0.0,
+            forecast_data_secs: 1e9,
+            train_secs: 3.5,
+            n_configs: 7,
+            n_placements: 19,
+            n_categories: 3,
+            forecast_mae: f64::NAN,
+            n_train_samples: 1234,
+            n_workers: 4,
+            reused: false,
+        };
+        kb.save_fit(&model, &stamp, &report).expect("save fit");
+        let (got_stamp, got) = kb.load_fit(&model).expect("load fit").expect("fit.kb");
+        assert_eq!(got_stamp, stamp);
+        assert_eq!(format!("{got:?}"), format!("{report:?}"));
+        assert_eq!(got.forecast_mae.to_bits(), report.forecast_mae.to_bits());
+        assert_eq!(got.categorize_secs.to_bits(), (-0.0f64).to_bits());
 
-        let loaded = kb.load_artifacts().expect("load artifacts");
-        assert_eq!(loaded.profile.fingerprint(), arts.profile.fingerprint());
-        assert_eq!(loaded.category.fingerprint(), arts.category.fingerprint());
-        assert_eq!(loaded.forecast.fingerprint(), arts.forecast.fingerprint());
-        assert_eq!(loaded.plan.fingerprint(), arts.plan.fingerprint());
-        assert_eq!(
-            loaded.plan.model.fingerprint(),
-            arts.plan.model.fingerprint()
-        );
+        // A fit.kb describes exactly one model.
+        let mut other = model.clone();
+        other.residual_p99 += 1.0;
+        assert!(matches!(
+            kb.load_fit(&other).unwrap_err(),
+            SkyError::CorruptKnowledgeBase { .. }
+        ));
+        // Saving a model retires the fit.kb of the one it replaces.
+        kb.save_model(&other).expect("save other");
+        assert!(kb.load_fit(&other).expect("no fit.kb").is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -463,10 +482,10 @@ mod tests {
         let kb = KnowledgeBase::open(&dir).expect("open");
         let model = fit();
         kb.save_model(&model).expect("save");
-        // Copy model.kb over profile.kb: kind tag mismatch.
-        fs::copy(dir.join("model.kb"), dir.join("profile.kb")).unwrap();
+        // Copy model.kb over fit.kb: kind tag mismatch.
+        fs::copy(dir.join("model.kb"), dir.join("fit.kb")).unwrap();
         assert!(matches!(
-            kb.load_artifacts().unwrap_err(),
+            kb.load_fit(&model).unwrap_err(),
             SkyError::CorruptKnowledgeBase { .. }
         ));
         let _ = fs::remove_dir_all(&dir);

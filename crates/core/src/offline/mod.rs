@@ -1,4 +1,5 @@
-//! The offline preparation phase (§3), staged as an artifact pipeline.
+//! The offline preparation phase (§3): one fit that produces the
+//! [`FittedModel`] the online phase reads.
 //!
 //! Skyscraper fits on historical data recorded from the source that will be
 //! ingested online:
@@ -12,13 +13,10 @@
 //!    cheap discriminating configuration, build sliding-window histograms,
 //!    train the Appendix-K network (§3.3, Appendix H).
 //!
-//! Since PR 3 these steps are public, independently runnable stages of an
-//! [`OfflinePipeline`], each producing a typed artifact
-//! (`ProfileArtifact → CategoryArtifact → ForecastArtifact → PlanArtifact`)
-//! that persists to a [`KnowledgeBase`] and reloads bitwise identically.
-//! [`run_offline`] remains as the one-call wrapper over the full pipeline.
-//! [`OfflinePipeline::refit`] reuses a previous fit when nothing changed
-//! and otherwise fits cold — see the `pipeline` module docs.
+//! [`run_offline`] runs these steps in one call (the `pipeline` module holds
+//! them). The model persists to a [`KnowledgeBase`] and reloads bitwise
+//! identically; a [`FitStamp`] — one fingerprint of everything the fit read —
+//! tells a refit whether a kept model is still current.
 //!
 //! [`OfflineReport`] records per-step wall-clock runtimes — the data behind
 //! Table 3 — plus fit statistics.
@@ -44,14 +42,11 @@ use forecast::{CategoryTimeline, Forecaster};
 
 pub use forecast::ForecastDataset;
 pub use kb::KnowledgeBase;
-pub use pipeline::{
-    recording_fingerprint, ArtifactMeta, CategoryArtifact, ForecastArtifact, OfflineArtifacts,
-    OfflinePipeline, PlanArtifact, ProfileArtifact,
-};
+use pipeline::OfflinePipeline;
+pub use pipeline::{recording_fingerprint, FitStamp};
 
 /// Everything the online phase needs, produced by [`run_offline`] (or
-/// assembled by the pipeline's plan stage, or reloaded from a
-/// [`KnowledgeBase`]).
+/// reloaded from a [`KnowledgeBase`]).
 #[derive(Debug, Clone)]
 pub struct FittedModel {
     /// Workload name.
@@ -222,7 +217,7 @@ impl FittedModel {
 }
 
 /// Wall-clock runtimes of the offline steps (Table 3) plus fit statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OfflineReport {
     /// "Filter knob configurations" runtime, seconds.
     pub filter_configs_secs: f64,
@@ -246,9 +241,10 @@ pub struct OfflineReport {
     pub n_train_samples: usize,
     /// Worker threads the offline scatter-gather steps fanned out over.
     pub n_workers: usize,
-    /// Pipeline stages reused verbatim from previous artifacts: 4 when
-    /// [`OfflinePipeline::refit`] found nothing changed, else 0.
-    pub stages_reused: usize,
+    /// True when a refit found its inputs unchanged and kept the previous
+    /// fit (the timings and statistics above are that fit's); false when
+    /// the steps ran.
+    pub reused: bool,
 }
 
 impl OfflineReport {
@@ -267,8 +263,7 @@ impl OfflineReport {
 /// `labeled` is the small ground-truth set (~20 min in the paper), `unlabeled`
 /// the large recording (~2 weeks). Returns the fitted model plus the step
 /// report, or an error when the data is insufficient or the hardware cannot
-/// sustain even the cheapest configuration. A thin wrapper over
-/// [`OfflinePipeline::run`].
+/// sustain even the cheapest configuration.
 pub fn run_offline<W: Workload + ?Sized>(
     workload: &W,
     labeled: &Recording,
@@ -295,10 +290,7 @@ pub fn run_offline_with<W: Workload + ?Sized>(
     hyper: &SkyscraperConfig,
     clustering: ClusteringAlgo,
 ) -> Result<(FittedModel, OfflineReport), SkyError> {
-    let (artifacts, report) = OfflinePipeline::new(workload, hardware, hyper.clone())
-        .with_clustering(clustering)
-        .run(labeled, unlabeled)?;
-    Ok((artifacts.into_model(), report))
+    OfflinePipeline::new(workload, hardware, hyper.clone(), clustering).run(labeled, unlabeled)
 }
 
 #[cfg(test)]
@@ -344,7 +336,7 @@ mod tests {
         assert!(report.forecast_mae.is_finite());
         assert!(report.n_train_samples > 10);
         // A cold fit reuses nothing.
-        assert_eq!(report.stages_reused, 0);
+        assert!(!report.reused);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Test support: a miniature workload, bitwise outcome comparators, fault
-//! injection ([`chaos`]) and the single-threaded [`reference`] the runtime
+//! injection ([`chaos`]) and the single-threaded [`mod@reference`] the runtime
 //! is differentially tested against.
 //!
 //! `ToyWorkload` is a two-knob detect-and-track pipeline with the same

@@ -86,9 +86,9 @@ pub trait Workload: Send + Sync {
     }
 
     /// Stable identity of this workload: name, segment length, and the full
-    /// knob registry (names, domains). The knowledge base scopes persisted
-    /// artifacts to this fingerprint — changing the knob space makes a
-    /// refit run cold. Workloads whose
+    /// knob registry (names, domains). A fit's `FitStamp` carries this
+    /// fingerprint — changing the knob space makes a refit run cold and a
+    /// saved knowledge base refuse to load. Workloads whose
     /// cost/quality responses have additional tunable parameters should
     /// override this and fold those in.
     fn fingerprint(&self) -> u64 {

@@ -8,14 +8,14 @@
 //! paper). This example shows the three ways the knowledge base avoids
 //! paying it repeatedly:
 //!
-//! 1. **fit → save**: one process fits and persists model + artifacts to a
-//!    directory.
+//! 1. **fit → save**: one process fits and persists the model and the stamp
+//!    of its inputs to a directory.
 //! 2. **load → serve**: a "restarted server" loads the model and opens
 //!    ingest sessions immediately — no offline prep at all — and produces
 //!    bitwise-identical results.
 //! 3. **refit**: reuse if nothing changed, else a cold fit. A refit on
-//!    unchanged data reuses all four stages and runs none; a refit on a
-//!    grown recording is bitwise identical to a cold fit on it.
+//!    unchanged data keeps the model and runs nothing; a refit on a grown
+//!    recording is bitwise identical to a cold fit on it.
 
 use std::time::Instant;
 
@@ -60,7 +60,7 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
     sky.save_model(&kb_dir).expect("save");
-    println!("saved model + artifacts to {}", kb_dir.display());
+    println!("saved model + fit stamp to {}", kb_dir.display());
     let reference = sky.ingest(live.segments()).expect("reference run");
 
     // ---- 2. load → serve (a fresh process after a restart). ----
@@ -108,20 +108,17 @@ fn main() {
     let same = restarted
         .refit(&labeled, &unlabeled)
         .expect("refit on unchanged data");
-    assert_eq!(same.stages_reused, 4, "unchanged inputs reuse every stage");
-    println!(
-        "refit on unchanged data: all {} stages reused, nothing ran",
-        same.stages_reused
-    );
+    assert!(same.reused, "unchanged inputs keep the fit");
+    println!("refit on unchanged data: fit reused, nothing ran");
 
     let t0 = Instant::now();
     let grown_report = restarted
         .refit(&labeled, &grown)
         .expect("refit on grown data");
+    assert!(!grown_report.reused, "grown data is a cold fit");
     println!(
-        "refit on +6h of data: {:.2}s, {} stages reused (a cold fit)",
-        t0.elapsed().as_secs_f64(),
-        grown_report.stages_reused
+        "refit on +6h of data: {:.2}s, a cold fit",
+        t0.elapsed().as_secs_f64()
     );
 
     // The refit result is bitwise identical to fitting the grown recording

@@ -1,21 +1,15 @@
 //! Quickstart: the EV-counting example from the paper's introduction and
-//! Appendix F, now driven through the **staged offline pipeline**.
+//! Appendix F — fit once, then ingest.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! The offline phase (§3) is four artifacts, each independently runnable
-//! and persistable:
-//!
-//! ```text
-//! profile ──▶ categorize ──▶ forecast ──▶ plan
-//! ```
-//!
-//! `Skyscraper::fit` wraps exactly this pipeline; here the stages run one
-//! by one so their outputs are visible. The fitted model is saved to a
-//! knowledge base at the end — see `examples/knowledge_base.rs` for
-//! reloading it and refitting.
+//! `Skyscraper::fit` runs the offline phase (§3) — filter knob
+//! configurations and placements, categorize video dynamics, train the
+//! forecaster — and its report says what each step produced. The fitted
+//! model is saved to a knowledge base at the end — see
+//! `examples/knowledge_base.rs` for reloading it and refitting.
 
 use vetl::prelude::*;
 
@@ -38,66 +32,29 @@ fn main() {
     let labeled = Recording::record(&mut camera, 20.0 * 60.0);
     let unlabeled = Recording::record(&mut camera, 2.0 * 86_400.0);
 
-    // ---- The staged offline pipeline (§3). ----
-    let pipeline = OfflinePipeline::new(&workload, hardware, hyper.clone());
-
-    println!("stage 1/4: filter knob configurations + placements (App. A)…");
-    let profile = pipeline
-        .profile(&labeled, &unlabeled)
-        .expect("profile stage");
-    println!(
-        "  kept {} configurations with {} Pareto placements",
-        profile.configs.len(),
-        profile
-            .configs
-            .iter()
-            .map(|p| p.placements.len())
-            .sum::<usize>()
-    );
-
-    println!("stage 2/4: categorize video dynamics (§3.2)…");
-    let category = pipeline
-        .categorize(&unlabeled, &profile)
-        .expect("category stage");
-    println!(
-        "  {} content categories, discriminator = config #{}",
-        category.categories.len(),
-        category.discriminator
-    );
-
-    println!("stage 3/4: label data + train the forecaster (§3.3)…");
-    let forecast = pipeline
-        .forecast(&unlabeled, &profile, &category)
-        .expect("forecast stage");
-    println!(
-        "  forecaster trained on {} samples (validation MAE {:.3})",
-        forecast.n_train_samples, forecast.forecaster.val_mae
-    );
-
-    println!("stage 4/4: assemble the model + seed the first knob plan…");
-    let plan = pipeline
-        .plan(&profile, &category, &forecast)
-        .expect("plan stage");
-    println!(
-        "  seeded plan covers {} categories × {} configurations",
-        plan.seed_plan.n_categories(),
-        plan.seed_plan.n_configs()
-    );
-
-    // Hand the fitted model to the facade and go live: ingest six hours.
-    // (`sky.fit(&labeled, &unlabeled)` runs the identical pipeline in one
-    // call; the staged form exists for persistence and refit.)
+    // ---- The offline phase (§3), one fit. ----
     let mut sky = Skyscraper::new(workload);
     sky.set_hardware(hardware);
     sky.set_hyperparameters(hyper);
     sky.set_cloud_budget_usd(1.0);
-    sky.fit(&labeled, &unlabeled).expect("facade fit");
-    assert_eq!(
-        sky.model().unwrap().fingerprint(),
-        plan.model.fingerprint(),
-        "facade fit equals the staged pipeline bitwise"
+    println!("fitting the offline phase (§3, App. A)…");
+    let report = sky.fit(&labeled, &unlabeled).expect("offline fit");
+    println!(
+        "  kept {} configurations with {} Pareto placements",
+        report.n_configs, report.n_placements
     );
+    let model = sky.model().expect("fitted");
+    println!(
+        "  {} content categories, discriminator = config #{}",
+        report.n_categories, model.discriminator
+    );
+    println!(
+        "  forecaster trained on {} samples (validation MAE {:.3})",
+        report.n_train_samples, report.forecast_mae
+    );
+    println!("  offline phase took {:.2}s", report.total_secs());
 
+    // Go live: ingest six hours.
     println!("ingesting 6 hours of live video (§4)…");
     let live = Recording::record(&mut camera, 6.0 * 3_600.0);
     let out = sky.ingest(live.segments()).expect("online ingestion");
@@ -120,7 +77,7 @@ fn main() {
     );
     assert_eq!(out.overflows, 0);
 
-    // Persist everything for the next process — model and artifacts.
+    // Persist the fit for the next process — the model and its stamp.
     let kb_dir = std::env::temp_dir().join("vetl-quickstart-kb");
     sky.save_model(&kb_dir).expect("save model");
     println!("model saved to {}", kb_dir.display());

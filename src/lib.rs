@@ -37,10 +37,9 @@ pub mod prelude {
     pub use skyscraper::{
         ClassificationMode, DedupCache, DedupPolicy, DedupStats, DurabilityConfig, ForecastMode,
         IngestOptions, IngestOutcome, IngestRuntime, IngestSession, JointPlanRecord, Knob,
-        KnobConfig, KnobPlan, KnobSwitcher, KnobValue, KnowledgeBase, OfflineArtifacts,
-        OfflinePipeline, RecoveredStream, RecoveryReport, RuntimeConfig, RuntimeMetrics,
-        SessionCheckpoint, SkyError, Skyscraper, SkyscraperConfig, StepReport, StreamId,
-        StreamMetrics, StreamStats, Workload,
+        KnobConfig, KnobPlan, KnobSwitcher, KnobValue, KnowledgeBase, RecoveredStream,
+        RecoveryReport, RuntimeConfig, RuntimeMetrics, SessionCheckpoint, SkyError, Skyscraper,
+        SkyscraperConfig, StepReport, StreamId, StreamMetrics, StreamStats, Workload,
     };
     pub use skyscraper::{
         Clock, FlightRecorder, ManualClock, MetricsRegistry, MetricsSnapshot, MonotonicClock, Obs,
