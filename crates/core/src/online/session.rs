@@ -755,10 +755,14 @@ struct SessionState {
     switcher: Option<KnobSwitcher>,
     backlog: Backlog,
     /// Observed category history, seeded with the offline tail — the
-    /// forecaster's input.
+    /// forecaster's input. Only its newest [`forecast_window`] entries,
+    /// plus at most an eighth, are kept (see [`push_window`]), except by a
+    /// standalone session that fine-tunes its forecaster: its replans train
+    /// on all of it.
     history: Vec<usize>,
-    /// Ground-truth category of every processed segment (accuracy stats and
-    /// the degraded live ground-truth forecast).
+    /// Ground-truth categories of the newest processed segments, kept only
+    /// under [`ForecastMode::GroundTruth`] (its no-feed fallback reads the
+    /// last planned interval of them) and empty in every other mode.
     gt_history: Vec<usize>,
     /// Full ground-truth category feed pinned upfront (oracle modes).
     gt_feed: Option<Vec<usize>>,
@@ -1043,6 +1047,41 @@ fn dedup_scope<W: Workload + ?Sized>(
         .finish()
 }
 
+/// Segments of observed history the forecaster reads: its input span
+/// `t_in`, as the hyperparameters and as the fitted forecaster state it,
+/// and never fewer than one segment per input split (the span `featurize`
+/// counts back over). The session reads and retains exactly this window,
+/// so trimming the history can never change a forecast.
+fn forecast_window(model: &FittedModel) -> usize {
+    let segs = |secs: f64| (secs / model.seg_len).round() as usize;
+    let spec = model.forecaster.spec();
+    segs(model.hyper.forecast_input_secs)
+        .max(segs(spec.input_secs))
+        .max(spec.input_splits)
+}
+
+/// Append `c` to a category window that must keep its newest `keep`
+/// entries. Amortized: when the length reaches `keep + keep/8` the front is
+/// drained down to `keep`, once per `keep/8` pushes, and that capacity is
+/// reserved once, so the steady state allocates nothing. A longer list (a
+/// checkpoint written before retention was bounded) is cut down to `keep`
+/// on its first push.
+fn push_window(window: &mut Vec<usize>, c: usize, keep: usize) {
+    let keep = keep.max(1);
+    let cap = keep + (keep / 8).max(1);
+    if window.capacity() != cap {
+        if window.len() >= cap {
+            window.drain(..window.len() - keep);
+        }
+        window.shrink_to(cap);
+        window.reserve_exact(cap - window.len());
+    }
+    window.push(c);
+    if window.len() >= cap {
+        window.drain(..window.len() - keep);
+    }
+}
+
 impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     /// Open a live session: byte statistics are learned from arrivals and
     /// planning is internal (the planner re-runs every planned interval).
@@ -1279,7 +1318,10 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         self.state.seg_index
     }
 
-    /// Observed category history (seeded with the offline tail).
+    /// The retained tail of the observed category history (seeded with the
+    /// offline tail): at least the forecaster's input span `t_in` once that
+    /// much has been observed, and at most an eighth more. A standalone
+    /// session that fine-tunes its forecaster retains all of it.
     pub fn history(&self) -> &[usize] {
         &self.state.history
     }
@@ -1309,12 +1351,19 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         Ok(self.forecast_r(self.recent_history(), self.state.seg_index))
     }
 
-    /// The last `forecast_input_secs` of observed history — all the
+    /// The last [`forecast_window`] segments of observed history — all the
     /// forecaster reads.
     fn recent_history(&self) -> &[usize] {
         let history = &self.state.history;
-        let tail_len = (self.model.hyper.forecast_input_secs / self.model.seg_len).round() as usize;
-        &history[history.len().saturating_sub(tail_len)..]
+        &history[history.len().saturating_sub(forecast_window(self.model))..]
+    }
+
+    /// A standalone session fine-tuning its forecaster trains on its whole
+    /// observed history at each replan (§3.3), so it must not trim it.
+    fn fine_tunes(&self) -> bool {
+        self.state.tuned_forecaster.is_some()
+            && !self.state.external_planning
+            && self.options.forecast == ForecastMode::Model
     }
 
     // ---- Derived quantities (pure functions of model + options + state,
@@ -1743,8 +1792,15 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
             }
         }
         self.state.last_reported = Some(reported);
-        self.state.history.push(category);
-        self.state.gt_history.push(gt_c);
+        if self.fine_tunes() {
+            self.state.history.push(category);
+        } else {
+            push_window(&mut self.state.history, category, forecast_window(model));
+        }
+        if self.options.forecast == ForecastMode::GroundTruth {
+            let span = self.segs_per_interval() as usize;
+            push_window(&mut self.state.gt_history, gt_c, span);
+        }
 
         if self.options.record_trace {
             self.state.trace.push(TracePoint {
@@ -1907,6 +1963,25 @@ mod tests {
     use crate::testkit::{assert_outcomes_bitwise_equal, ToyWorkload};
     use vetl_sim::HardwareSpec;
     use vetl_video::{ContentParams, Recording, SyntheticCamera};
+
+    impl SessionCheckpoint {
+        /// This checkpoint as a build without bounded retention wrote it: the
+        /// whole observed category `history` and the ground-truth category of
+        /// every processed segment. Panics unless the retained lists are tails
+        /// of those.
+        pub(crate) fn with_full_history(
+            mut self,
+            history: Vec<usize>,
+            gt_history: Vec<usize>,
+        ) -> Self {
+            assert!(history.ends_with(&self.state.history), "history tail");
+            assert!(gt_history.ends_with(&self.state.gt_history), "gt tail");
+            assert_eq!(gt_history.len(), self.state.seg_index, "one gt per segment");
+            self.state.history = history;
+            self.state.gt_history = gt_history;
+            self
+        }
+    }
 
     fn setup(cores: usize) -> (ToyWorkload, FittedModel, Vec<Segment>) {
         let w = ToyWorkload::new();
@@ -2081,15 +2156,18 @@ mod tests {
             };
             let mut session = IngestSession::new(&model, &w, opts);
             session.pin_ground_truth(feed.clone());
+            // The whole observed history, rebuilt outside the session.
+            let mut full = model.tail.categories.clone();
             for seg in &segments[..pushes] {
-                session.push(seg).unwrap();
+                full.push(session.push(seg).unwrap().category);
             }
-            let history = session.history();
-            let in_segs = (model.hyper.forecast_input_secs / model.seg_len).round() as usize;
+            assert!(full.ends_with(session.history()));
+            assert!(
+                session.history().len() < full.len(),
+                "the history was trimmed"
+            );
             let expected = match forecast {
-                ForecastMode::Model => model
-                    .forecaster
-                    .forecast(&history[history.len() - in_segs..], model.seg_len),
+                ForecastMode::Model => model.forecaster.forecast(&full, model.seg_len),
                 ForecastMode::GroundTruth => {
                     let window = &feed[pushes..(pushes + interval).min(feed.len())];
                     (0..n_c)
@@ -2126,6 +2204,179 @@ mod tests {
         .unwrap();
         let online = Recording::record(&mut cam, 12.0 * 3_600.0);
         (w, model, online.segments().to_vec())
+    }
+
+    /// `fast_test` with a 20 min forecaster input and 30 min planned
+    /// intervals (windows of 600 and 900 segments), and 2 h of online video:
+    /// a stream crosses many history trims and replans.
+    fn setup_short() -> (ToyWorkload, FittedModel, Vec<Segment>) {
+        let w = ToyWorkload::new();
+        let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(3), 2.0);
+        let labeled = Recording::record(&mut cam, 20.0 * 60.0);
+        let unlabeled = Recording::record(&mut cam, 2.0 * 86_400.0);
+        let hyper = SkyscraperConfig {
+            forecast_input_secs: 20.0 * 60.0,
+            planned_interval_secs: 30.0 * 60.0,
+            ..SkyscraperConfig::fast_test()
+        };
+        let (model, _) = run_offline(
+            &w,
+            &labeled,
+            &unlabeled,
+            HardwareSpec::with_cores(2),
+            &hyper,
+        )
+        .unwrap();
+        let online = Recording::record(&mut cam, 2.0 * 3_600.0);
+        (w, model, online.segments().to_vec())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The normalized histogram of the last `span` entries of `gt`.
+    fn trailing_histogram(gt: &[usize], span: usize, n_c: usize) -> Vec<f64> {
+        let window = &gt[gt.len().saturating_sub(span)..];
+        if window.is_empty() {
+            return vec![1.0 / n_c as f64; n_c];
+        }
+        let mut r = vec![0.0; n_c];
+        for &c in window {
+            r[c] += 1.0;
+        }
+        let s: f64 = r.iter().sum();
+        r.iter_mut().for_each(|v| *v /= s);
+        r
+    }
+
+    /// The trim oracle: over more than three windows of pushes, the forecast
+    /// from the retained history is bit-equal to the forecast from the whole
+    /// observed history, rebuilt outside the session, after every push; the
+    /// retained lists stay within their window plus an eighth, and their
+    /// capacity is reserved once.
+    #[test]
+    fn trimmed_history_forecasts_like_the_full_history() {
+        let (w, model, segments) = setup_short();
+        let n_c = model.n_categories();
+        let keep = forecast_window(&model);
+        let span = (model.hyper.planned_interval_secs / model.seg_len) as usize;
+        assert_eq!((keep, span), (600, 900));
+        assert!(segments.len() >= 3 * span);
+        for forecast in [ForecastMode::Model, ForecastMode::GroundTruth] {
+            let opts = IngestOptions {
+                forecast,
+                ..Default::default()
+            };
+            let mut session = IngestSession::new(&model, &w, opts);
+            let mut full = model.tail.categories.clone();
+            let mut gt = Vec::new();
+            let mut caps = (None, None);
+            for seg in &segments {
+                let report = session.push(seg).unwrap();
+                full.push(report.category);
+                gt.push(model.ground_truth_category(&w, &seg.content));
+                let expected = match forecast {
+                    ForecastMode::Model => model.forecaster.forecast(&full, model.seg_len),
+                    _ => trailing_histogram(&gt, span, n_c),
+                };
+                let r = session.forecast_distribution().unwrap();
+                assert_eq!(bits(&r), bits(&expected), "{forecast:?} at {}", gt.len());
+
+                let state = &session.state;
+                assert!(full.ends_with(&state.history));
+                assert!(state.history.len() <= keep + keep / 8);
+                if full.len() > keep + keep / 8 {
+                    let cap = *caps.0.get_or_insert(state.history.capacity());
+                    assert_eq!(state.history.capacity(), cap, "history reallocated");
+                }
+                if forecast == ForecastMode::GroundTruth {
+                    assert!(gt.ends_with(&state.gt_history));
+                    assert!(state.gt_history.len() <= span + span / 8);
+                    if gt.len() > span + span / 8 {
+                        let cap = *caps.1.get_or_insert(state.gt_history.capacity());
+                        assert_eq!(state.gt_history.capacity(), cap, "gt reallocated");
+                    }
+                } else {
+                    assert!(state.gt_history.is_empty(), "nothing reads it");
+                }
+            }
+            assert!(session.plans() >= 4, "both replan arms ran");
+        }
+    }
+
+    /// A standalone session that fine-tunes its forecaster trains on all of
+    /// its history, so it keeps all of it.
+    #[test]
+    fn a_fine_tuning_session_keeps_its_whole_history() {
+        let (w, model, segments) = setup_short();
+        let opts = IngestOptions {
+            finetune_forecaster: true,
+            ..Default::default()
+        };
+        let mut session = IngestSession::new(&model, &w, opts);
+        let mut full = model.tail.categories.clone();
+        for seg in &segments[..2_000] {
+            full.push(session.push(seg).unwrap().category);
+        }
+        assert_eq!(session.history(), &full[..]);
+    }
+
+    /// Retention is bounded, so a snapshot's size does not grow with the
+    /// stream's age: at ages 2 and 4 windows (the same trim phase) a
+    /// checkpoint encodes to the same length, apart from the backlog of
+    /// buffered video (16 bytes an entry), which follows the content and is
+    /// bounded by the buffer (Eq. 1), not by age.
+    #[test]
+    fn checkpoint_size_is_flat_in_stream_age() {
+        let (w, model, segments) = setup_short();
+        let keep = forecast_window(&model);
+        let mut session = IngestSession::new(&model, &w, IngestOptions::default());
+        let mut lens = Vec::new();
+        for (i, seg) in segments[..4 * keep].iter().enumerate() {
+            session.push(seg).unwrap();
+            if i + 1 == 2 * keep || i + 1 == 4 * keep {
+                let backlog = session.state.backlog.len();
+                lens.push(session.checkpoint().encode().len() - 16 * backlog);
+            }
+        }
+        assert_eq!(lens[0], lens[1], "checkpoint bytes at ages 2 and 4 windows");
+    }
+
+    /// A checkpoint with the untrimmed lists a build without bounded
+    /// retention wrote (the whole observed history, every ground-truth
+    /// category) resumes to the same outcome as the trimmed one, bitwise,
+    /// through the real encoder.
+    #[test]
+    fn untrimmed_checkpoint_resumes_like_the_trimmed_one() {
+        let (w, model, segments) = setup_short();
+        let mut session = IngestSession::new(&model, &w, IngestOptions::default());
+        let mid = 1_500;
+        let mut full = model.tail.categories.clone();
+        for seg in &segments[..mid] {
+            full.push(session.push(seg).unwrap().category);
+        }
+        let gt: Vec<usize> = segments[..mid]
+            .iter()
+            .map(|s| model.ground_truth_category(&w, &s.content))
+            .collect();
+        let trimmed = session.checkpoint();
+        let untrimmed = trimmed.clone().with_full_history(full, gt);
+        assert!(untrimmed.encode().len() > trimmed.encode().len());
+        for seg in &segments[mid..] {
+            session.push(seg).unwrap();
+        }
+        let straight = session.finish();
+        for ckpt in [trimmed, untrimmed] {
+            let decoded = SessionCheckpoint::decode(&ckpt.encode()).expect("decode");
+            decoded.validate_against(&model).expect("validate");
+            let mut resumed = IngestSession::resume(&model, &w, decoded);
+            for seg in &segments[mid..] {
+                resumed.push(seg).unwrap();
+            }
+            assert!(resumed.history().len() <= forecast_window(&model) * 9 / 8);
+            assert_outcomes_bitwise_equal("resumed ≡ uninterrupted", &straight, &resumed.finish());
+        }
     }
 
     #[test]

@@ -1909,6 +1909,7 @@ mod tests {
     use crate::config::SkyscraperConfig;
     use crate::multistream::joint_plan;
     use crate::offline::run_offline;
+    use crate::online::session::{ClassificationMode, ForecastMode};
     use crate::testkit::ToyWorkload;
     use vetl_lp::{solve, LpProblem, Relation};
     use vetl_sim::HardwareSpec;
@@ -1983,6 +1984,106 @@ mod tests {
         plans.iter().zip(models).any(|(p, m)| {
             (0..m.n_categories()).any(|c| p.histogram(c).iter().any(|&a| a > 0.0 && a < 1.0))
         })
+    }
+
+    /// The history-trim oracle through a 4-stream runtime: after every push,
+    /// each session's forecast (what the next barrier's joint LP reads) is
+    /// bit-equal to the forecast from its whole observed history, rebuilt
+    /// outside the runtime, over more than three forecaster windows and
+    /// planned intervals. Ground-truth classification makes the observed
+    /// history the ground truth; the ground-truth forecast runs without a
+    /// feed, so it reads the session's trailing ground truth.
+    #[test]
+    fn runtime_forecasts_match_the_full_history_across_trims() {
+        const V: usize = 4;
+        const PUSHES: usize = 2_800;
+        let w = ToyWorkload::new();
+        let mut cam = SyntheticCamera::new(ContentParams::traffic_intersection(7), 2.0);
+        let labeled = Recording::record(&mut cam, 20.0 * 60.0);
+        let unlabeled = Recording::record(&mut cam, 2.0 * 86_400.0);
+        let hyper = SkyscraperConfig {
+            forecast_input_secs: 20.0 * 60.0,
+            planned_interval_secs: 30.0 * 60.0,
+            ..SkyscraperConfig::fast_test()
+        };
+        let (model, _) = run_offline(
+            &w,
+            &labeled,
+            &unlabeled,
+            HardwareSpec::with_cores(4),
+            &hyper,
+        )
+        .expect("fit");
+        let online = Recording::record(&mut cam, 2.0 * 3_600.0);
+        let segs = online.segments();
+        let gt: Vec<usize> = segs
+            .iter()
+            .map(|s| model.ground_truth_category(&w, &s.content))
+            .collect();
+        let n_c = model.n_categories();
+        let span = (model.hyper.planned_interval_secs / model.seg_len) as usize;
+        let offset = |v: usize| v * 200;
+        for forecast in [ForecastMode::Model, ForecastMode::GroundTruth] {
+            let mut rt = IngestRuntime::new(RuntimeConfig {
+                shards: 2,
+                shared_cloud_budget_usd: 0.02,
+                replan_interval_secs: Some(240.0),
+                total_cores: Some(V as f64),
+                ..RuntimeConfig::default()
+            });
+            let opts = IngestOptions {
+                classification: ClassificationMode::GroundTruth,
+                forecast,
+                ..IngestOptions::default()
+            };
+            let ids: Vec<StreamId> = (0..V)
+                .map(|v| {
+                    rt.open_stream(format!("cam-{v}"), &model, &w, opts.clone())
+                        .expect("admit")
+                })
+                .collect();
+            for i in 0..PUSHES {
+                for (v, &id) in ids.iter().enumerate() {
+                    rt.push(id, &segs[offset(v) + i]).expect("push");
+                }
+                for (v, slot) in rt.slots.iter().enumerate() {
+                    let RtSlot::Active(a) = slot else {
+                        panic!("no stream closes");
+                    };
+                    let session = a.session.as_ref().expect("open");
+                    let seen = &gt[offset(v)..offset(v) + session.segments_pushed()];
+                    let expected = match forecast {
+                        ForecastMode::Model => {
+                            let mut full = model.tail.categories.clone();
+                            full.extend_from_slice(seen);
+                            model.forecaster.forecast(&full, model.seg_len)
+                        }
+                        _ => {
+                            let mut r = vec![0.0; n_c];
+                            let window = &seen[seen.len().saturating_sub(span)..];
+                            for &c in window {
+                                r[c] += 1.0;
+                            }
+                            if window.is_empty() {
+                                vec![1.0 / n_c as f64; n_c]
+                            } else {
+                                let n = window.len() as f64;
+                                r.iter().map(|x| x / n).collect()
+                            }
+                        }
+                    };
+                    let r = session.forecast_distribution().expect("forecast");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&r),
+                        bits(&expected),
+                        "{forecast:?} stream {v} push {i}"
+                    );
+                }
+            }
+            let out = rt.finish().expect("finish");
+            assert!(out.streams.iter().all(|s| s.outcome.segments == PUSHES));
+        }
     }
 
     /// A V = 64 fleet through the runtime: every joint plan — 64 admissions

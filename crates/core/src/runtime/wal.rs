@@ -766,8 +766,8 @@ mod tests {
     use super::*;
     use crate::config::SkyscraperConfig;
     use crate::offline::{run_offline, FittedModel};
-    use crate::online::session::IngestSession;
-    use crate::runtime::{DurabilityConfig, IngestRuntime, RuntimeConfig};
+    use crate::online::session::{ClassificationMode, IngestSession};
+    use crate::runtime::{DurabilityConfig, IngestRuntime, RuntimeConfig, StreamId};
     use crate::testkit::ToyWorkload;
     use vetl_sim::HardwareSpec;
     use vetl_video::{ContentParams, Recording, SyntheticCamera};
@@ -1128,7 +1128,9 @@ mod tests {
 
     /// The session checkpoint's bytes for a fixed toy session, after pushes
     /// across two planned intervals (so the internal planner ran twice). A
-    /// change here is a checkpoint format change: bump `CKPT_VERSION`.
+    /// layout change here is a checkpoint format change: bump
+    /// `CKPT_VERSION`. A content change with the layout kept (what a
+    /// session retains) re-pins without a bump.
     #[test]
     fn session_checkpoint_bytes_are_pinned() {
         let (w, model, segs) = toy();
@@ -1140,9 +1142,95 @@ mod tests {
         let bytes = session.checkpoint().encode();
         assert_eq!(
             (bytes.len(), codec::checksum(&bytes)),
-            (211_910, 0x137a_df3b_d1b2_f000),
+            (95_910, 0x4561_4561_a4e2_8bc8),
             "SessionCheckpoint::encode drifted"
         );
+    }
+
+    /// A runtime snapshot whose sessions carry the untrimmed lists a build
+    /// without bounded retention wrote (the whole observed history, every
+    /// ground-truth category) recovers to the same outcome, bitwise, as the
+    /// trimmed snapshot this build wrote, and as the uninterrupted run.
+    #[test]
+    fn untrimmed_snapshot_recovers_like_the_trimmed_one() {
+        let (w, model, segs) = toy();
+        // Ground-truth classification makes the observed history the
+        // ground truth, so it can be rebuilt outside the runtime.
+        let opts = IngestOptions {
+            classification: ClassificationMode::GroundTruth,
+            ..Default::default()
+        };
+        let (crash_at, total) = (2_000, 2_600);
+        let serve = |rt: &mut IngestRuntime<'_>, from: usize, to: usize| {
+            for seg in &segs[from..to] {
+                rt.push(StreamId::from_index(0), seg).expect("push");
+            }
+        };
+        let uninterrupted = {
+            let dir = tmpdir("untrimmed-straight");
+            let mut rt = IngestRuntime::new(durable_cfg(&dir));
+            rt.open_stream("cam-0", &model, &w, opts.clone())
+                .expect("open");
+            serve(&mut rt, 0, total);
+            let out = rt.finish().expect("finish");
+            let _ = fs::remove_dir_all(&dir);
+            out
+        };
+
+        let trimmed_dir = tmpdir("untrimmed-trimmed");
+        {
+            let mut rt = IngestRuntime::new(durable_cfg(&trimmed_dir));
+            rt.open_stream("cam-0", &model, &w, opts.clone())
+                .expect("open");
+            serve(&mut rt, 0, crash_at);
+        }
+        // The same directory with every session checkpoint untrimmed.
+        let untrimmed_dir = tmpdir("untrimmed-full");
+        fs::create_dir_all(&untrimmed_dir).expect("mkdir");
+        for entry in fs::read_dir(&trimmed_dir).expect("ls") {
+            let path = entry.expect("entry").path();
+            fs::copy(&path, untrimmed_dir.join(path.file_name().expect("name"))).expect("copy");
+        }
+        let mut snap = read_snapshot(&untrimmed_dir)
+            .expect("read")
+            .expect("a snapshot was written");
+        let mut untrimmed = 0;
+        for slot in &mut snap.slots {
+            if let SlotSnapshot::Active { session, .. } = slot {
+                let n = session.segments_pushed();
+                assert!(n > 900, "the history was trimmed before the snapshot");
+                let gt: Vec<usize> = segs[..n]
+                    .iter()
+                    .map(|s| model.ground_truth_category(&w, &s.content))
+                    .collect();
+                let mut full = model.tail.categories.clone();
+                full.extend_from_slice(&gt);
+                **session = (**session).clone().with_full_history(full, gt);
+                untrimmed += 1;
+            }
+        }
+        assert_eq!(untrimmed, 1);
+        write_snapshot(&untrimmed_dir, &snap).expect("write");
+        assert!(
+            fs::metadata(ckpt_file(&untrimmed_dir)).expect("stat").len()
+                > fs::metadata(ckpt_file(&trimmed_dir)).expect("stat").len()
+        );
+
+        let resolve =
+            |_: usize, _: &str| Some((&model, &w as &(dyn crate::workload::Workload + '_)));
+        for dir in [&trimmed_dir, &untrimmed_dir] {
+            let (mut rt, report) =
+                IngestRuntime::recover(durable_cfg(dir), &resolve).expect("recover");
+            assert!(report.resumed_from_snapshot);
+            serve(&mut rt, report.streams[0].accepted_segments, total);
+            let out = rt.finish().expect("finish");
+            crate::testkit::assert_multi_outcomes_bitwise_equal(
+                &format!("{} ≡ uninterrupted", dir.display()),
+                &uninterrupted,
+                &out,
+            );
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

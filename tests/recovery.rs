@@ -59,24 +59,33 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 type Fixture = (ToyWorkload, FittedModel, Vec<Segment>);
 
-/// Three independently fitted streams over distinct content processes,
-/// with 5 hours of online video each.
+/// The fixture fitted with a 20 min forecaster input (600 segments), so
+/// its sessions trim their category history every 75 segments.
+const SHORT: usize = 3;
+
+/// Four independently fitted streams over distinct content processes,
+/// with 5 hours of online video each: three fitted with `fast_test`, and
+/// [`SHORT`].
 fn fixture() -> &'static Vec<Fixture> {
     static FIXTURE: OnceLock<Vec<Fixture>> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        (0..3u64)
+        (0..4u64)
             .map(|v| {
                 let w = ToyWorkload::new();
                 let mut cam =
                     SyntheticCamera::new(ContentParams::traffic_intersection(41 + v), 2.0);
                 let labeled = Recording::record(&mut cam, 20.0 * 60.0);
                 let unlabeled = Recording::record(&mut cam, 2.0 * 86_400.0);
+                let mut hyper = SkyscraperConfig::fast_test();
+                if v as usize == SHORT {
+                    hyper.forecast_input_secs = 20.0 * 60.0;
+                }
                 let (model, _) = run_offline(
                     &w,
                     &labeled,
                     &unlabeled,
                     HardwareSpec::with_cores(16),
-                    &SkyscraperConfig::fast_test(),
+                    &hyper,
                 )
                 .expect("fit");
                 let online = Recording::record(&mut cam, 5.0 * 3_600.0)
@@ -457,6 +466,58 @@ fn crash_between_batch_dispatches_recovers_bitwise() {
         let out = rt.finish().expect("finish");
         assert_multi_outcomes_bitwise_equal(&what, &expected, &out);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Crashes after the [`SHORT`] streams' category histories have started
+/// trimming (600 kept, trimmed every 75 segments), so the snapshot holds
+/// trimmed lists and the recovered run trims them again: recovered ≡
+/// uninterrupted at 1, 2 and `VETL_SHARDS` shards.
+#[test]
+fn crash_after_history_trims_recovers_bitwise() {
+    let keep = {
+        let model = &fixture()[SHORT].1;
+        (model.hyper.forecast_input_secs / model.seg_len).round() as usize
+    };
+    assert_eq!(keep, 600);
+    let schedule = Schedule {
+        opens: vec![(0, SHORT, 1_500), (0, 0, 1_500), (300, SHORT, 1_000)],
+        closes: vec![],
+        rounds: 1_500,
+    };
+    let (ops, open_fixture) = flatten(&schedule);
+    let mut rng = StdRng::seed_from_u64(chaos_seed() ^ 0x7219);
+    let shard_counts = {
+        let mut s = vec![1, 2, alt_shards()];
+        s.sort_unstable();
+        s.dedup();
+        s
+    };
+    for &shards in &shard_counts {
+        let expected = reference(&ops, &open_fixture, shards);
+        for crash_at in [ops.len() / 2, rng.gen_range((ops.len() / 3)..ops.len())] {
+            let short_pushes = ops[..crash_at]
+                .iter()
+                .filter(|op| matches!(op, Op::Push { handle: 0, .. }))
+                .count();
+            // Trims start after keep/8 pushes; a snapshot lands every two
+            // epochs (2 * QUOTA rounds), so one with trimmed lists exists.
+            assert!(short_pushes > 4 * QUOTA, "the crash lands after trims");
+            let dir = tmpdir(&format!("trim-{shards}-{crash_at}"));
+            let recover_shards = shard_counts[crash_at % shard_counts.len()];
+            let (out, report) =
+                crash_and_recover(&ops, &open_fixture, &dir, shards, recover_shards, crash_at);
+            assert!(report.resumed_from_snapshot);
+            assert_multi_outcomes_bitwise_equal(
+                &format!(
+                    "shards {shards}->{recover_shards}, crash at op {crash_at}/{}",
+                    ops.len()
+                ),
+                &expected,
+                &out,
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
