@@ -20,7 +20,7 @@
 //! * [`offline`] — the preparation phase (§3), one fit producing one
 //!   [`FittedModel`]: diverse segment sampling and greedy hill-climbing to
 //!   filter knob configurations to a work/quality Pareto set (Appendix A.1),
-//!   exhaustive/beam placement search over the Appendix-M simulator filtered
+//!   exhaustive placement search over the Appendix-M simulator filtered
 //!   to the cost/runtime Pareto set (Appendix A.2), KMeans content
 //!   categorization over quality vectors (§3.2), and training of the
 //!   feed-forward forecaster (§3.3, Appendix H). The model persists to a

@@ -6,9 +6,12 @@
 //! against the Appendix-M simulator's estimates.
 
 use crossbeam::channel::unbounded;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::pool::ActorPool;
+
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// A DAG of opaque jobs: `preds[i]` lists the tasks that must finish before
 /// task `i` starts.
@@ -56,9 +59,14 @@ pub struct DagRun {
 
 /// Execute `dag` on `pool`, respecting dependencies, and measure finishes.
 ///
+/// `pool.size()` scoped workers take ready tasks from one queue, so at most
+/// that many tasks run at once; the caller's thread releases each task's
+/// successors as it finishes.
+///
 /// # Panics
 /// Panics if the predecessor lists contain a cycle (no task ever becomes
-/// ready) or reference out-of-range tasks.
+/// ready) or reference out-of-range tasks, and re-raises the first panic of
+/// a task once the workers have stopped.
 pub fn run_dag(pool: &ActorPool, dag: DagSpec) -> DagRun {
     let n = dag.len();
     if n == 0 {
@@ -83,40 +91,54 @@ pub fn run_dag(pool: &ActorPool, dag: DagSpec) -> DagRun {
         }
     }
 
-    let (done_tx, done_rx) = unbounded::<(usize, Instant)>();
     let start = Instant::now();
-    let mut tasks: Vec<Option<Box<dyn FnOnce() + Send>>> =
-        dag.tasks.into_iter().map(Some).collect();
-
-    let submit = |i: usize, tasks: &mut Vec<Option<Box<dyn FnOnce() + Send>>>| {
-        let work = tasks[i].take().expect("task submitted twice");
-        let tx = done_tx.clone();
-        let _ = pool.submit(move || {
-            work();
-            let _ = tx.send((i, Instant::now()));
-        });
-    };
-
-    let mut remaining = n;
-    for (i, &d) in indeg.iter().enumerate() {
-        if d == 0 {
-            submit(i, &mut tasks);
-        }
-    }
-
+    let mut tasks: Vec<Option<Task>> = dag.tasks.into_iter().map(Some).collect();
     let mut finish = vec![Duration::ZERO; n];
-    while remaining > 0 {
-        let (i, at) = done_rx
-            .recv()
-            .expect("DAG execution stalled: cyclic dependencies or worker panic");
-        finish[i] = at.duration_since(start);
-        remaining -= 1;
-        for &s in &succ[i].clone() {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                submit(s, &mut tasks);
+    let outcome = std::thread::scope(|s| {
+        let (ready_tx, ready_rx) = unbounded::<(usize, Task)>();
+        let (done_tx, done_rx) = unbounded::<(usize, Instant, std::thread::Result<()>)>();
+        for _ in 0..pool.size() {
+            let (ready_rx, done_tx) = (ready_rx.clone(), done_tx.clone());
+            s.spawn(move || {
+                while let Ok((i, work)) = ready_rx.recv() {
+                    let result = panic::catch_unwind(AssertUnwindSafe(work));
+                    if done_tx.send((i, Instant::now(), result)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        // Only the workers hold the done channel, so `recv` errors rather
+        // than blocks if they all stop.
+        drop(done_tx);
+
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let (mut in_flight, mut remaining) = (0usize, n);
+        while remaining > 0 {
+            for i in ready.drain(..) {
+                let work = tasks[i].take().expect("task released twice");
+                ready_tx.send((i, work)).expect("DAG workers exited");
+                in_flight += 1;
+            }
+            // Returning drops `ready_tx`, which closes the queue, so the
+            // scope joins the workers before a panic is raised.
+            assert!(in_flight > 0, "DAG execution stalled: cyclic dependencies");
+            let (i, at, result) = done_rx.recv().expect("DAG workers exited");
+            result?;
+            in_flight -= 1;
+            remaining -= 1;
+            finish[i] = at.duration_since(start);
+            for &s in &succ[i] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(s);
+                }
             }
         }
+        Ok(())
+    });
+    if let Err(payload) = outcome {
+        panic::resume_unwind(payload);
     }
 
     let makespan = finish.iter().cloned().max().unwrap_or(Duration::ZERO);
@@ -126,6 +148,8 @@ pub fn run_dag(pool: &ActorPool, dag: DagSpec) -> DagRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc};
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -178,5 +202,78 @@ mod tests {
         let pool = ActorPool::new(1);
         let run = run_dag(&pool, DagSpec::sleeping(vec![], vec![]));
         assert_eq!(run.makespan, Duration::ZERO);
+    }
+
+    /// Runs `dag` on a helper thread and returns how `run_dag` ended: the
+    /// panic message, or `None` if it returned. Fails after 1 s instead of
+    /// hanging when `run_dag` never returns.
+    fn run_dag_panic_message(size: usize, dag: DagSpec) -> Option<String> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let ended = panic::catch_unwind(AssertUnwindSafe(|| {
+                run_dag(&ActorPool::new(size), dag);
+            }));
+            let message = ended.err().map(|p| {
+                p.downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("run_dag still blocked after 1 s")
+    }
+
+    #[test]
+    fn cyclic_dag_panics_instead_of_hanging() {
+        let dag = DagSpec::sleeping(vec![vec![2], vec![0], vec![1]], vec![ms(1); 3]);
+        let message = run_dag_panic_message(2, dag).expect("a cycle must panic");
+        assert!(message.contains("cyclic"), "panicked with {message:?}");
+        // A cycle behind a task that does run still stalls.
+        let dag = DagSpec::sleeping(vec![vec![], vec![0, 2], vec![1]], vec![ms(1); 3]);
+        let message = run_dag_panic_message(2, dag).expect("a cycle must panic");
+        assert!(message.contains("cyclic"), "panicked with {message:?}");
+    }
+
+    #[test]
+    fn task_panic_is_raised_on_the_caller() {
+        let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+            Box::new(|| panic!("task 0 failed")),
+            Box::new(|| ()),
+            Box::new(|| ()),
+        ];
+        let dag = DagSpec {
+            preds: vec![vec![], vec![0], vec![1]],
+            tasks,
+        };
+        let message = run_dag_panic_message(2, dag).expect("the task's panic must propagate");
+        assert_eq!(message, "task 0 failed");
+    }
+
+    #[test]
+    fn never_runs_more_tasks_than_the_pool_size() {
+        for size in [1, 2, 4] {
+            let running = Arc::new(AtomicUsize::new(0));
+            let peak = Arc::new(AtomicUsize::new(0));
+            let tasks = (0..16)
+                .map(|_| {
+                    let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
+                    Box::new(move || {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(ms(2));
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    }) as Box<dyn FnOnce() + Send>
+                })
+                .collect();
+            let dag = DagSpec {
+                preds: vec![vec![]; 16],
+                tasks,
+            };
+            run_dag(&ActorPool::new(size), dag);
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= size, "size {size}: peak {peak}");
+        }
     }
 }

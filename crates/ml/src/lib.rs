@@ -24,13 +24,11 @@ pub mod matrix;
 pub mod metrics;
 pub mod nn;
 pub mod optim;
-pub mod split;
 
 pub use gmm::{GaussianMixture, GmmConfig};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use loss::Loss;
 pub use matrix::Matrix;
-pub use metrics::{accuracy, confusion_matrix, mean_absolute_error, mean_squared_error};
+pub use metrics::{accuracy, mean_absolute_error};
 pub use nn::{Activation, Layer, Mlp, MlpBuilder};
-pub use optim::{Adam, Optimizer, Sgd};
-pub use split::train_val_split;
+pub use optim::Adam;

@@ -25,26 +25,6 @@ pub fn mean_absolute_error(predictions: &[Vec<f64>], targets: &[Vec<f64>]) -> f6
     total / count as f64
 }
 
-/// Mean squared error with the same conventions as [`mean_absolute_error`].
-pub fn mean_squared_error(predictions: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
-    assert_eq!(
-        predictions.len(),
-        targets.len(),
-        "prediction/target count mismatch"
-    );
-    assert!(!predictions.is_empty(), "MSE of an empty set is undefined");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, t) in predictions.iter().zip(targets.iter()) {
-        assert_eq!(p.len(), t.len(), "prediction/target dimension mismatch");
-        for (&pi, &ti) in p.iter().zip(t.iter()) {
-            total += (pi - ti) * (pi - ti);
-            count += 1;
-        }
-    }
-    total / count as f64
-}
-
 /// Fraction of positions where the predicted label equals the true label.
 pub fn accuracy(predicted: &[usize], truth: &[usize]) -> f64 {
     assert_eq!(predicted.len(), truth.len(), "label count mismatch");
@@ -57,17 +37,6 @@ pub fn accuracy(predicted: &[usize], truth: &[usize]) -> f64 {
         .filter(|(a, b)| a == b)
         .count();
     hits as f64 / predicted.len() as f64
-}
-
-/// `n_classes × n_classes` confusion matrix; `result[truth][predicted]`.
-pub fn confusion_matrix(predicted: &[usize], truth: &[usize], n_classes: usize) -> Vec<Vec<usize>> {
-    assert_eq!(predicted.len(), truth.len(), "label count mismatch");
-    let mut m = vec![vec![0usize; n_classes]; n_classes];
-    for (&p, &t) in predicted.iter().zip(truth.iter()) {
-        assert!(p < n_classes && t < n_classes, "label out of range");
-        m[t][p] += 1;
-    }
-    m
 }
 
 #[cfg(test)]
@@ -88,25 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn mse_hand_computed() {
-        let p = vec![vec![0.0, 1.0]];
-        let t = vec![vec![0.5, 0.5]];
-        assert!((mean_squared_error(&p, &t) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn accuracy_counts_matches() {
         assert_eq!(accuracy(&[0, 1, 2, 1], &[0, 1, 1, 1]), 0.75);
         assert_eq!(accuracy(&[], &[]), 1.0);
-    }
-
-    #[test]
-    fn confusion_matrix_layout() {
-        let m = confusion_matrix(&[0, 1, 1], &[0, 0, 1], 2);
-        assert_eq!(m[0][0], 1); // truth 0 predicted 0
-        assert_eq!(m[0][1], 1); // truth 0 predicted 1
-        assert_eq!(m[1][1], 1); // truth 1 predicted 1
-        assert_eq!(m[1][0], 0);
     }
 
     #[test]

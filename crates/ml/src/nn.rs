@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::loss::Loss;
 use crate::matrix::Matrix;
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 
 /// Element-wise layer activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,7 +340,7 @@ impl Mlp {
         &mut self,
         inputs: &[Vec<f64>],
         targets: &[Vec<f64>],
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
         config: &FitConfig,
     ) -> TrainReport {
         assert_eq!(

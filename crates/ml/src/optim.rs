@@ -1,68 +1,14 @@
-//! First-order optimizers for the forecasting network.
+//! The first-order optimizer for the forecasting network.
 //!
 //! The paper trains its forecaster for 40 epochs with an off-the-shelf
-//! optimizer (Appendix K). We provide plain SGD with momentum and Adam; the
-//! reproduction defaults to Adam, which converges in well under 40 epochs on
-//! the tiny forecasting problem.
-
-/// A first-order optimizer updating a flat parameter vector in place.
-///
-/// Implementations lazily size their internal state to the parameter count on
-/// the first call, so one optimizer instance must only ever be used with a
-/// single model.
-pub trait Optimizer {
-    /// Apply one update step: consume gradients `grads` and update `params`.
-    fn step(&mut self, params: &mut [f64], grads: &[f64]);
-
-    /// Reset internal state (momentum/moment estimates).
-    fn reset(&mut self);
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient in `[0, 1)`; `0.0` disables momentum.
-    pub momentum: f64,
-    velocity: Vec<f64>,
-}
-
-impl Sgd {
-    /// Create an SGD optimizer.
-    pub fn new(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, &g), v) in params
-            .iter_mut()
-            .zip(grads.iter())
-            .zip(self.velocity.iter_mut())
-        {
-            *v = self.momentum * *v - self.lr * g;
-            *p += *v;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
+//! optimizer (Appendix K). The reproduction uses Adam, which converges in
+//! well under 40 epochs on the tiny forecasting problem.
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
+///
+/// The moment estimates are lazily sized to the parameter count on the first
+/// [`step`](Self::step), so one instance must only ever be used with a single
+/// model.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate (default 1e-2 works well for the forecaster).
@@ -92,16 +38,9 @@ impl Adam {
             t: 0,
         }
     }
-}
 
-impl Default for Adam {
-    fn default() -> Self {
-        Self::new(1e-2)
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
+    /// Apply one update step: consume gradients `grads` and update `params`.
+    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
         if self.m.len() != params.len() {
             self.m = vec![0.0; params.len()];
@@ -120,11 +59,11 @@ impl Optimizer for Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
+}
 
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
+impl Default for Adam {
+    fn default() -> Self {
+        Self::new(1e-2)
     }
 }
 
@@ -133,27 +72,13 @@ mod tests {
     use super::*;
 
     /// Minimize f(x) = (x - 3)^2 and check convergence.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    fn minimize(opt: &mut Adam, steps: usize) -> f64 {
         let mut x = [0.0f64];
         for _ in 0..steps {
             let g = [2.0 * (x[0] - 3.0)];
             opt.step(&mut x, &g);
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = minimize(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "got {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        let x = minimize(&mut opt, 400);
-        assert!((x - 3.0).abs() < 1e-4, "got {x}");
     }
 
     #[test]
@@ -164,19 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut opt = Adam::new(0.1);
-        let mut x = [0.0f64];
-        opt.step(&mut x, &[1.0]);
-        opt.reset();
-        assert_eq!(opt.t, 0);
-        assert!(opt.m.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let mut opt = Sgd::new(0.1, 0.0);
+        let mut opt = Adam::new(0.1);
         let mut p = [0.0, 1.0];
         opt.step(&mut p, &[1.0]);
     }

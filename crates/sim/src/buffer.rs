@@ -1,105 +1,11 @@
-//! The video buffer and processing backlog.
+//! The processing backlog behind the video buffer.
 //!
 //! Eq. 1 of the paper is Skyscraper's throughput guarantee: the bytes of
 //! produced-but-unprocessed frames may never exceed the buffer size `B`.
-//! [`VideoBuffer`] enforces that invariant; [`Backlog`] tracks the FIFO of
-//! set-aside segments together with the compute work still owed to them, so
-//! the ingestion loop can convert spare core-seconds into freed buffer
-//! bytes.
-
-/// Error returned when a push would exceed the buffer capacity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BufferOverflow {
-    /// Bytes that were attempted.
-    pub attempted: f64,
-    /// Bytes currently used.
-    pub used: f64,
-    /// Capacity in bytes.
-    pub capacity: f64,
-}
-
-impl std::fmt::Display for BufferOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "buffer overflow: push of {:.0} B onto {:.0}/{:.0} B",
-            self.attempted, self.used, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for BufferOverflow {}
-
-/// A fixed-capacity byte buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VideoBuffer {
-    capacity: f64,
-    used: f64,
-}
-
-impl VideoBuffer {
-    /// Create an empty buffer of `capacity` bytes.
-    pub fn new(capacity: f64) -> Self {
-        assert!(capacity >= 0.0, "capacity must be non-negative");
-        Self {
-            capacity,
-            used: 0.0,
-        }
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Bytes currently buffered.
-    pub fn used(&self) -> f64 {
-        self.used
-    }
-
-    /// Remaining headroom in bytes.
-    pub fn headroom(&self) -> f64 {
-        (self.capacity - self.used).max(0.0)
-    }
-
-    /// Fill level in `[0, 1]`.
-    pub fn fill_fraction(&self) -> f64 {
-        if self.capacity == 0.0 {
-            if self.used > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            (self.used / self.capacity).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Add bytes, failing if capacity would be exceeded.
-    pub fn push(&mut self, bytes: f64) -> Result<(), BufferOverflow> {
-        assert!(bytes >= 0.0, "cannot push negative bytes");
-        if self.used + bytes > self.capacity + 1e-6 {
-            return Err(BufferOverflow {
-                attempted: bytes,
-                used: self.used,
-                capacity: self.capacity,
-            });
-        }
-        self.used += bytes;
-        Ok(())
-    }
-
-    /// Would `bytes` fit right now?
-    pub fn fits(&self, bytes: f64) -> bool {
-        self.used + bytes <= self.capacity + 1e-6
-    }
-
-    /// Remove bytes (clamped at zero).
-    pub fn drain(&mut self, bytes: f64) {
-        assert!(bytes >= 0.0, "cannot drain negative bytes");
-        self.used = (self.used - bytes).max(0.0);
-    }
-}
+//! [`Backlog`] tracks the FIFO of set-aside segments together with the
+//! compute work still owed to them, so the ingestion loop can convert spare
+//! core-seconds into freed buffer bytes; the online session checks Eq. 1
+//! against [`Backlog::bytes`].
 
 /// One set-aside chunk of video: its buffered bytes and the on-premise
 /// core-seconds of work still owed before the bytes can be released.
@@ -232,37 +138,6 @@ impl Backlog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buffer_push_and_drain() {
-        let mut b = VideoBuffer::new(100.0);
-        b.push(60.0).unwrap();
-        assert_eq!(b.used(), 60.0);
-        assert_eq!(b.headroom(), 40.0);
-        b.drain(80.0);
-        assert_eq!(b.used(), 0.0);
-    }
-
-    #[test]
-    fn buffer_rejects_overflow() {
-        let mut b = VideoBuffer::new(100.0);
-        b.push(90.0).unwrap();
-        let err = b.push(20.0).unwrap_err();
-        assert_eq!(err.capacity, 100.0);
-        assert_eq!(b.used(), 90.0, "failed push must not change state");
-        assert!(!b.fits(20.0));
-        assert!(b.fits(10.0));
-    }
-
-    #[test]
-    fn fill_fraction_bounds() {
-        let mut b = VideoBuffer::new(10.0);
-        assert_eq!(b.fill_fraction(), 0.0);
-        b.push(5.0).unwrap();
-        assert!((b.fill_fraction() - 0.5).abs() < 1e-12);
-        let z = VideoBuffer::new(0.0);
-        assert_eq!(z.fill_fraction(), 0.0);
-    }
 
     #[test]
     fn backlog_fifo_processing() {

@@ -15,8 +15,9 @@
 //! This crate implements the simulator exactly as described in Appendix M.1:
 //! per-core availability times, serialized uplink/downlink bandwidth
 //! occupancy, cloud round-trip latency, and ready-time-ordered scheduling.
-//! It also provides the byte-bounded video [`buffer`] that gives Skyscraper
-//! its throughput guarantee (Eq. 1) and the [`trace`] records behind Fig. 3.
+//! It also provides the [`buffer`] backlog that Skyscraper's throughput
+//! guarantee (Eq. 1) is checked against and the [`trace`] records behind
+//! Fig. 3.
 
 pub mod buffer;
 pub mod cost;
@@ -26,7 +27,7 @@ pub mod placement;
 pub mod task;
 pub mod trace;
 
-pub use buffer::{Backlog, BufferOverflow, VideoBuffer};
+pub use buffer::Backlog;
 pub use cost::CostModel;
 pub use hardware::{CloudSpec, ClusterSpec, HardwareSpec};
 pub use makespan::{simulate, simulate_into, SimResult, SimScratch, SimStats};

@@ -5,7 +5,7 @@
 //! cost/runtime Pareto frontier `P_k` (Appendix A.2) so the online knob
 //! switcher only iterates over promising candidates.
 
-use crate::task::{NodeId, TaskGraph};
+use crate::task::NodeId;
 
 /// A cloud/on-premise assignment for every node of a task graph.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -69,7 +69,7 @@ impl Placement {
     pub fn enumerate(n_nodes: usize) -> impl Iterator<Item = Placement> {
         assert!(
             n_nodes <= 20,
-            "exhaustive enumeration capped at 20 nodes; use beam search"
+            "exhaustive enumeration capped at 20 nodes (2^20 placements)"
         );
         (0u64..(1u64 << n_nodes)).map(move |mask| Placement::from_mask(n_nodes, mask))
     }
@@ -113,61 +113,6 @@ pub fn pareto_frontier(mut points: Vec<PlacementPoint>) -> Vec<PlacementPoint> {
         }
     }
     frontier
-}
-
-/// Greedy beam search over placements for graphs too large to enumerate:
-/// start from all-on-premise, repeatedly move the single node to the cloud
-/// that best improves runtime per added dollar, keeping the `beam_width`
-/// best frontiers. `evaluate` maps a placement to (runtime, cloud_usd).
-pub fn beam_search(
-    graph: &TaskGraph,
-    beam_width: usize,
-    mut evaluate: impl FnMut(&Placement) -> (f64, f64),
-) -> Vec<PlacementPoint> {
-    let n = graph.len();
-    let mut beam: Vec<Placement> = vec![Placement::all_onprem(n)];
-    let mut seen: Vec<PlacementPoint> = Vec::new();
-    for p in &beam {
-        let (runtime, cloud_usd) = evaluate(p);
-        seen.push(PlacementPoint {
-            placement: p.clone(),
-            runtime,
-            cloud_usd,
-        });
-    }
-
-    for _depth in 0..n {
-        let mut candidates: Vec<PlacementPoint> = Vec::new();
-        for base in &beam {
-            for i in 0..n {
-                let id = NodeId(i);
-                if base.is_cloud(id) {
-                    continue;
-                }
-                let mut next = base.clone();
-                next.set_cloud(id, true);
-                if seen.iter().any(|s| s.placement == next)
-                    || candidates.iter().any(|c| c.placement == next)
-                {
-                    continue;
-                }
-                let (runtime, cloud_usd) = evaluate(&next);
-                candidates.push(PlacementPoint {
-                    placement: next,
-                    runtime,
-                    cloud_usd,
-                });
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        candidates.sort_by(|a, b| a.runtime.partial_cmp(&b.runtime).expect("finite"));
-        candidates.truncate(beam_width);
-        beam = candidates.iter().map(|c| c.placement.clone()).collect();
-        seen.extend(candidates);
-    }
-    pareto_frontier(seen)
 }
 
 #[cfg(test)]
@@ -216,21 +161,5 @@ mod tests {
     fn pareto_handles_duplicates() {
         let f = pareto_frontier(vec![point(1.0, 1.0), point(1.0, 1.0)]);
         assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn beam_search_finds_the_enumerated_frontier_on_small_graph() {
-        // Synthetic evaluation: runtime decreases, cost increases with each
-        // cloud-placed node — frontier should include every cloud count.
-        let mut g = TaskGraph::new();
-        for i in 0..4 {
-            g.add_node(crate::task::TaskNode::new(format!("n{i}"), 1.0, 0.5));
-        }
-        let eval = |p: &Placement| {
-            let c = p.cloud_count() as f64;
-            (4.0 - c * 0.9, c * 0.1)
-        };
-        let beam = beam_search(&g, 4, eval);
-        assert_eq!(beam.len(), 5, "all five cloud counts are Pareto-optimal");
     }
 }

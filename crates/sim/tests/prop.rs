@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use vetl_sim::{
     pareto_frontier, simulate, CloudSpec, ClusterSpec, Placement, PlacementPoint, TaskGraph,
-    TaskNode, VideoBuffer,
+    TaskNode,
 };
 
 fn random_graph(secs: &[f64], chain: bool) -> TaskGraph {
@@ -83,24 +83,6 @@ proptest! {
             prop_assert!(r.cloud_usd >= prev_usd - 1e-12);
             prev_onprem = r.onprem_busy_secs;
             prev_usd = r.cloud_usd;
-        }
-    }
-
-    /// Buffer arithmetic: a sequence of pushes/drains never exceeds
-    /// capacity when pushes are checked with `fits` first.
-    #[test]
-    fn checked_pushes_never_overflow(
-        ops in prop::collection::vec((0.0f64..50.0, 0.0f64..40.0), 1..100),
-        capacity in 10.0f64..200.0,
-    ) {
-        let mut buf = VideoBuffer::new(capacity);
-        for (push, drain) in ops {
-            if buf.fits(push) {
-                buf.push(push).expect("fits was checked");
-            }
-            buf.drain(drain);
-            prop_assert!(buf.used() <= capacity + 1e-6);
-            prop_assert!(buf.used() >= 0.0);
         }
     }
 

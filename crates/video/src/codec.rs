@@ -63,18 +63,6 @@ impl BitrateModel {
         let a = activity.clamp(0.0, 1.0);
         self.mean_bytes_per_sec * secs * (1.0 - self.activity_swing / 2.0 + self.activity_swing * a)
     }
-
-    /// JPEG size of a single frame at a resolution scale (1.0 = full HD);
-    /// used for cloud-offload payload estimation. ≈ 100 KB at 720p.
-    pub fn jpeg_frame_bytes(&self, resolution_scale: f64) -> f64 {
-        100_000.0 * resolution_scale.clamp(0.05, 1.0).powi(2)
-    }
-
-    /// Base64 inflation applied to HTTPS payloads (§5.1: frames are Base64
-    /// serialized JPEGs).
-    pub fn base64_inflate(bytes: f64) -> f64 {
-        bytes * 4.0 / 3.0
-    }
 }
 
 /// CPU cost of H.264 decode.
@@ -121,19 +109,6 @@ mod tests {
         let m = BitrateModel::default();
         assert!(m.bytes(1.0, 0.9) > m.bytes(1.0, 0.1));
         assert!(m.bytes(1.0, 0.0) > 0.0);
-    }
-
-    #[test]
-    fn jpeg_scales_quadratically_with_resolution() {
-        let m = BitrateModel::default();
-        let full = m.jpeg_frame_bytes(1.0);
-        let half = m.jpeg_frame_bytes(0.5);
-        assert!((full / half - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn base64_inflates_by_third() {
-        assert!((BitrateModel::base64_inflate(3.0) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -60,43 +60,6 @@ impl Recording {
     pub fn end(&self) -> SimTime {
         self.segments.last().map_or(SimTime::ZERO, |s| s.end())
     }
-
-    /// Sub-recording covering `[from, to)` in stream time.
-    pub fn slice_time(&self, from: SimTime, to: SimTime) -> Recording {
-        let segs = self
-            .segments
-            .iter()
-            .filter(|s| s.start().as_secs() >= from.as_secs() && s.end().as_secs() <= to.as_secs())
-            .cloned()
-            .collect();
-        Recording { segments: segs }
-    }
-
-    /// Split off the first `duration_secs` seconds as a labeled set, keeping
-    /// the remainder as the unlabeled set — the paper's 20 min / 2 weeks
-    /// split in one call.
-    pub fn split_labeled(&self, duration_secs: f64) -> (Recording, Recording) {
-        let mut cut = 0usize;
-        let mut acc = 0.0;
-        for (i, s) in self.segments.iter().enumerate() {
-            acc += s.duration;
-            if acc >= duration_secs {
-                cut = i + 1;
-                break;
-            }
-        }
-        if cut == 0 {
-            cut = self.segments.len();
-        }
-        (
-            Recording {
-                segments: self.segments[..cut].to_vec(),
-            },
-            Recording {
-                segments: self.segments[cut..].to_vec(),
-            },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -122,26 +85,6 @@ mod tests {
         let rec = Recording::record(&mut cam, 100.0);
         let next = cam.next_segment();
         assert!((next.start().as_secs() - rec.end().as_secs()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn slice_time_selects_interval() {
-        let mut cam = camera();
-        let rec = Recording::record(&mut cam, 100.0);
-        let sub = rec.slice_time(SimTime::from_secs(20.0), SimTime::from_secs(40.0));
-        assert_eq!(sub.len(), 10);
-        assert!((sub.start().as_secs() - 20.0).abs() < 1e-9);
-        assert!((sub.end().as_secs() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn split_labeled_partitions() {
-        let mut cam = camera();
-        let rec = Recording::record(&mut cam, 100.0);
-        let (labeled, unlabeled) = rec.split_labeled(20.0);
-        assert_eq!(labeled.len(), 10);
-        assert_eq!(unlabeled.len(), 40);
-        assert!((labeled.end().as_secs() - unlabeled.start().as_secs()).abs() < 1e-9);
     }
 
     #[test]

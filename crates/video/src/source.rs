@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use crate::codec::{BitrateModel, CodecParams};
 use crate::content::{ContentParams, ContentProcess};
 use crate::segment::Segment;
-use crate::time::{SimTime, SECONDS_PER_DAY, SECONDS_PER_HOUR};
+use crate::time::{SimTime, SECONDS_PER_DAY};
 
 /// A synthetic live camera: a content process plus codec models, emitting
 /// segments in stream order.
@@ -38,12 +38,6 @@ impl SyntheticCamera {
             bitrate: BitrateModel::default(),
             next_index: 0,
         }
-    }
-
-    /// Override codec parameters (resolution / fps).
-    pub fn with_codec(mut self, codec: CodecParams) -> Self {
-        self.codec = codec;
-        self
     }
 
     /// Codec parameters of this stream.
@@ -197,11 +191,6 @@ impl StreamCountProcess {
     /// Generate counts for `n` segments.
     pub fn take_counts(&mut self, n: usize) -> Vec<usize> {
         (0..n).map(|_| self.step()).collect()
-    }
-
-    /// Plateau duration per day for LONG mode (seconds).
-    pub fn long_plateau_secs(&self) -> f64 {
-        6.0 * SECONDS_PER_HOUR
     }
 }
 

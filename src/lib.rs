@@ -12,7 +12,8 @@
 //! * [`sim`] — task graphs, placements, hardware, the Appendix-M simulator.
 //! * [`ml`] — KMeans, GMM, and the feed-forward forecaster, from scratch.
 //! * [`lp`] — the knob planner's threshold walk and its simplex test oracle.
-//! * [`exec`] — a thread-pool actor executor (the Ray stand-in).
+//! * [`exec`] — the thread-pool actor executor (the Ray stand-in): scoped
+//!   scatter-gather and the DAG runner behind Figs. 22–23.
 //! * [`workloads`] — COVID, MOT, MOSEI-HIGH/LONG and the EV example.
 //! * [`baselines`] — Static, Chameleon*, VideoStorm* and the Optimum oracle.
 //! * [`net`] — the framed socket front-end (TCP + Unix) serving the sharded
